@@ -104,7 +104,7 @@ pub use chaos::{ChaosLines, ChaosSchedule, ChaosTransport, ChaosWriter};
 pub use executor::Executor;
 pub use jobs::{json_escape, parse_flat_object, parse_job_line, v1_response_json, JobOp, JobSpec};
 pub use json::JsonValue;
-pub use net::{TcpShutdownHandle, TcpTransport};
+pub use net::{TcpShutdownHandle, TcpTransport, MAX_LINE_BYTES};
 pub use protocol::{
     parse_wire_line, serve, BatchOp, CancelOp, Connection, EngineConfig, ErrorCode, FrameSink,
     LineStream, MonteCarloOp, MultiCycleMcOp, MultiCycleOp, ParsedLine, ProtocolEngine,

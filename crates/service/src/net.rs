@@ -18,7 +18,7 @@
 //! timeout) close within [`SHUTDOWN_POLL`] — after which `serve`
 //! joins every connection thread and returns.
 
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,6 +43,11 @@ pub const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(100);
 /// worker stalls **at most once** per connection — the first failed
 /// write kills the [`FrameSink`] and every later send fails fast.
 pub const WRITE_STALL_LIMIT: Duration = Duration::from_secs(10);
+
+/// The longest request line (bytes, without its `\n`) a TCP client may
+/// send, auth or not. A longer line gets a `bad_request` error frame and
+/// the connection closes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A TCP server socket serving protocol connections. See the
 /// [module docs](self).
@@ -271,7 +276,12 @@ impl LineStream for TcpLines {
                 return Ok(None);
             }
             let before = self.pending.len();
-            match self.reader.read_until(b'\n', &mut self.pending) {
+            // Room for the rest of a capped line plus its terminator.
+            let room = (MAX_LINE_BYTES + 1).saturating_sub(before) as u64;
+            match (&mut self.reader)
+                .take(room)
+                .read_until(b'\n', &mut self.pending)
+            {
                 // EOF. A final unterminated fragment is still a line —
                 // the parser reports the truncation instead of the
                 // server swallowing it.
@@ -280,6 +290,14 @@ impl LineStream for TcpLines {
                         return Ok(None);
                     }
                     return Ok(Some(self.take_line()));
+                }
+                // Neither a terminator nor EOF: the cap was reached.
+                Ok(_) if self.pending.len() > MAX_LINE_BYTES && !self.pending.ends_with(b"\n") => {
+                    self.pending = Vec::new();
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                    ));
                 }
                 Ok(_) => return Ok(Some(self.take_line())),
                 Err(e)

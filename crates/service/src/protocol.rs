@@ -251,6 +251,9 @@ pub enum WireOp {
     Hello {
         /// The shared secret, if the client presents one.
         token: Option<String>,
+        /// The session to join: a key an earlier `hello` returned.
+        /// Without one, the connection keeps a session of its own.
+        session: Option<String>,
     },
     /// Service counters (sessions, caches) — closes the ROADMAP's
     /// "expose `stats` on the wire" item.
@@ -588,6 +591,7 @@ fn parse_v2(pairs: Vec<(String, JsonValue)>) -> Result<WireRequest, WireError> {
     let op = match op_name.as_str() {
         "hello" => WireOp::Hello {
             token: fields.take_str("token")?,
+            session: fields.take_str("session")?,
         },
         "stats" => WireOp::Stats,
         "set_inputs" => {
@@ -1036,7 +1040,8 @@ pub trait LineStream: Send {
     /// The next line (without its terminator); `Ok(None)` when the
     /// client is done. A final unterminated fragment is returned as a
     /// line — the parser turns a truncated frame into a `parse` error
-    /// rather than dropping it silently.
+    /// rather than dropping it silently. An [`io::ErrorKind::InvalidData`]
+    /// error refuses the line with a `bad_request` frame and a close.
     fn next_line(&mut self) -> io::Result<Option<String>>;
 }
 
@@ -1284,6 +1289,9 @@ struct ConnState {
     authed: bool,
     /// Whether the one quota-free handshake has been spent.
     greeted: bool,
+    /// The cancel scope: a `cancel` reaches only requests registered
+    /// under the same session key.
+    session: String,
 }
 
 /// Whether the connection continues after a line.
@@ -1304,13 +1312,12 @@ pub struct ProtocolEngine {
     config: EngineConfig,
     circuits: Mutex<NetlistCache>,
     inflight: InflightGate,
-    /// In-flight cancel handles, keyed by client request id. Engine-
-    /// wide on purpose: a connection's serve loop is sequential, so a
-    /// `cancel` necessarily arrives on a *different* connection than
-    /// the request it targets. Ids map to a `Vec` because a batch
-    /// registers every job token under the batch id, and because
-    /// nothing stops two clients from picking the same id.
-    cancels: Mutex<HashMap<String, Vec<CancelToken>>>,
+    /// In-flight cancel handles, keyed by (session key, request id). A
+    /// connection's serve loop is sequential, so a `cancel` arrives on
+    /// a *second* connection, which must join the target's session with
+    /// its `hello`. Keys map to a `Vec` because a batch registers every
+    /// job token under the batch id, and a session may reuse an id.
+    cancels: Mutex<HashMap<(String, String), Vec<CancelToken>>>,
 }
 
 /// RAII deregistration of cancel-registry entries: however a request
@@ -1320,14 +1327,14 @@ pub struct ProtocolEngine {
 /// ([`CancelToken::ptr_eq`]), not by id, so a concurrent request that
 /// chose the same id keeps its own registration.
 struct CancelGuard<'a> {
-    registry: &'a Mutex<HashMap<String, Vec<CancelToken>>>,
-    entries: Vec<(String, CancelToken)>,
+    registry: &'a Mutex<HashMap<(String, String), Vec<CancelToken>>>,
+    entries: Vec<((String, String), CancelToken)>,
 }
 
 impl<'a> CancelGuard<'a> {
     fn register(
-        registry: &'a Mutex<HashMap<String, Vec<CancelToken>>>,
-        entries: Vec<(String, CancelToken)>,
+        registry: &'a Mutex<HashMap<(String, String), Vec<CancelToken>>>,
+        entries: Vec<((String, String), CancelToken)>,
     ) -> Self {
         {
             let mut map = lock_clean(registry);
@@ -1402,8 +1409,25 @@ impl ProtocolEngine {
     pub fn serve_connection(&self, conn: Connection) -> io::Result<()> {
         let mut lines = conn.lines;
         let sink = conn.sink;
-        let mut state = ConnState::default();
-        while let Some(line) = lines.next_line()? {
+        let mut state = ConnState {
+            session: new_session_key(),
+            ..ConnState::default()
+        };
+        loop {
+            let line = match lines.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                // A refused line (over the byte cap): say why, then
+                // close, since the stream is no longer at a line start.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    sink.send(&render_error_frame(
+                        None,
+                        &WireError::new(ErrorCode::BadRequest, e.to_string()),
+                    ))?;
+                    break;
+                }
+                Err(e) => return Err(e),
+            };
             state.line += 1;
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -1430,15 +1454,12 @@ impl ProtocolEngine {
         if self.config.auth_token.is_some() && !state.authed {
             if let Ok(ParsedLine::V2(WireRequest {
                 id,
-                op: WireOp::Hello { token },
+                op: WireOp::Hello { token, session },
                 ..
             })) = &parsed
             {
                 if token.as_deref() == self.config.auth_token.as_deref() {
-                    state.authed = true;
-                    state.greeted = true;
-                    sink.send(&hello_frame(id.as_deref()))?;
-                    return Ok(Flow::Continue);
+                    return greet(state, id.as_deref(), session.as_deref(), sink);
                 }
                 sink.send(&render_error_frame(
                     id.as_deref(),
@@ -1461,15 +1482,12 @@ impl ProtocolEngine {
         // cannot elicit unlimited replies.
         if let Ok(ParsedLine::V2(WireRequest {
             id,
-            op: WireOp::Hello { .. },
+            op: WireOp::Hello { session, .. },
             ..
         })) = &parsed
         {
             if !state.greeted {
-                state.authed = true;
-                state.greeted = true;
-                sink.send(&hello_frame(id.as_deref()))?;
-                return Ok(Flow::Continue);
+                return greet(state, id.as_deref(), session.as_deref(), sink);
             }
         }
 
@@ -1517,7 +1535,7 @@ impl ProtocolEngine {
             }
             ParsedLine::V2(req) => {
                 let id = req.id.as_deref();
-                if let Err(e) = self.dispatch_v2(&req, sink)? {
+                if let Err(e) = self.dispatch_v2(&req, &state.session, sink)? {
                     sink.send(&render_error_frame(id, &e))?;
                 }
             }
@@ -1540,6 +1558,7 @@ impl ProtocolEngine {
     fn dispatch_v2(
         &self,
         req: &WireRequest,
+        session: &str,
         sink: &FrameSink,
     ) -> io::Result<Result<(), WireError>> {
         let id = req.id.as_deref();
@@ -1554,7 +1573,7 @@ impl ProtocolEngine {
         let _guard = match (&req.id, &token) {
             (Some(rid), Some(token)) => Some(CancelGuard::register(
                 &self.cancels,
-                vec![(rid.clone(), token.clone())],
+                vec![((session.to_owned(), rid.clone()), token.clone())],
             )),
             _ => None,
         };
@@ -1568,7 +1587,7 @@ impl ProtocolEngine {
             // Only *repeated* hellos land here (the first is answered
             // quota-free before dispatch); they count like any op.
             WireOp::Hello { .. } => {
-                sink.send(&hello_frame(id))?;
+                sink.send(&hello_frame(id, session))?;
                 Ok(Ok(()))
             }
             WireOp::Stats => {
@@ -1627,7 +1646,7 @@ impl ProtocolEngine {
             WireOp::Cancel(op) => {
                 let found = {
                     let map = lock_clean(&self.cancels);
-                    match map.get(&op.target) {
+                    match map.get(&(session.to_owned(), op.target.clone())) {
                         Some(tokens) => {
                             for token in tokens {
                                 token.cancel();
@@ -1644,7 +1663,7 @@ impl ProtocolEngine {
                 ))?;
                 Ok(Ok(()))
             }
-            WireOp::Batch(op) => self.run_batch(id, op, req.deadline_ms, sink),
+            WireOp::Batch(op) => self.run_batch(id, session, op, req.deadline_ms, sink),
             WireOp::WhatIfRevert(op) => match self.run_whatif_revert(op) {
                 Ok((circuit, depth, total)) => {
                     sink.send(&format!(
@@ -1883,7 +1902,7 @@ impl ProtocolEngine {
         // resolution failure is stashed so its error code (not_found /
         // bad_request) survives the trip through `ServiceError`.
         let mut resolve_err: Option<WireError> = None;
-        let result = self.service.whatif_apply_cancellable(
+        let result = self.service.whatif_apply(
             &circuit,
             |current| {
                 build_whatif_edit(current, &op.edit).map_err(|e| {
@@ -1972,6 +1991,7 @@ impl ProtocolEngine {
     fn run_batch(
         &self,
         id: Option<&str>,
+        session: &str,
         op: &BatchOp,
         deadline_ms: Option<u64>,
         sink: &FrameSink,
@@ -1985,11 +2005,8 @@ impl ProtocolEngine {
         }
         let mut entries = Vec::new();
         for (job, spec) in op.jobs.iter().zip(&jobs) {
-            if let Some(jid) = &job.id {
-                entries.push((jid.clone(), spec.token.clone()));
-            }
-            if let Some(bid) = id {
-                entries.push((bid.to_owned(), spec.token.clone()));
+            for rid in job.id.as_deref().into_iter().chain(id) {
+                entries.push(((session.to_owned(), rid.to_owned()), spec.token.clone()));
             }
         }
         let _guard = CancelGuard::register(&self.cancels, entries);
@@ -2223,11 +2240,40 @@ impl NetlistCache {
     }
 }
 
-fn hello_frame(id: Option<&str>) -> String {
+fn hello_frame(id: Option<&str>, session: &str) -> String {
     format!(
-        "{}, \"op\": \"hello\", \"protocol\": {PROTOCOL_VERSION}, \"server\": \"ser-service\"}}",
-        frame_head("result", id)
+        "{}, \"op\": \"hello\", \"protocol\": {PROTOCOL_VERSION}, \"server\": \"ser-service\", \"session\": \"{}\"}}",
+        frame_head("result", id),
+        json_escape(session)
     )
+}
+
+/// The quota-free handshake: joins the session the client names (or
+/// keeps the connection's own) and answers with its key.
+fn greet(
+    state: &mut ConnState,
+    id: Option<&str>,
+    session: Option<&str>,
+    sink: &FrameSink,
+) -> io::Result<Flow> {
+    state.authed = true;
+    state.greeted = true;
+    if let Some(key) = session {
+        key.clone_into(&mut state.session);
+    }
+    sink.send(&hello_frame(id, &state.session))?;
+    Ok(Flow::Continue)
+}
+
+/// A fresh session key: 64 bits from a randomly keyed SipHash of a
+/// process-wide counter, so one client cannot guess another's key.
+fn new_session_key() -> String {
+    use std::hash::{BuildHasher, Hasher};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    hasher.write_u64(NEXT.fetch_add(1, Ordering::Relaxed));
+    format!("{:016x}", hasher.finish())
 }
 
 /// Resolves a wire-level what-if edit against the stack's current

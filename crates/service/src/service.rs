@@ -652,31 +652,19 @@ impl SerService {
     /// interesting nodes (`u__r0`, voter internals) do not exist in the
     /// base netlist the caller loaded.
     ///
+    /// An optional cooperative [`CancelToken`] is polled at the session
+    /// compile's plan-build checkpoints and at the re-sweep's tier
+    /// boundaries (SP recompute → reference tier → planned tier →
+    /// splice). A trip leaves the edit stack exactly as it was — the
+    /// partially re-analyzed state is dropped, never pushed.
+    ///
     /// # Errors
     ///
-    /// Whatever `edit` returns, or [`ServiceError::Compile`] when the
+    /// Whatever `edit` returns, [`ServiceError::Compile`] when the
     /// edited circuit's signal probabilities cannot be computed (the
-    /// stack is left untouched).
+    /// stack is left untouched), or [`ServiceError::Cancelled`] when the
+    /// token trips.
     pub fn whatif_apply(
-        &self,
-        circuit: &Arc<Circuit>,
-        edit: impl FnOnce(&Circuit) -> Result<Edit, ServiceError>,
-    ) -> Result<WhatIfOutcome, ServiceError> {
-        self.whatif_apply_cancellable(circuit, edit, None)
-    }
-
-    /// [`whatif_apply`](Self::whatif_apply) with a cooperative
-    /// [`CancelToken`]: the token is polled at the session compile's
-    /// plan-build checkpoints and at the re-sweep's tier boundaries
-    /// (SP recompute → reference tier → planned tier → splice). A trip
-    /// leaves the edit stack exactly as it was — the partially
-    /// re-analyzed state is dropped, never pushed.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`whatif_apply`](Self::whatif_apply) returns, plus
-    /// [`ServiceError::Cancelled`] when the token trips.
-    pub fn whatif_apply_cancellable(
         &self,
         circuit: &Arc<Circuit>,
         edit: impl FnOnce(&Circuit) -> Result<Edit, ServiceError>,
@@ -952,29 +940,16 @@ impl SerService {
         &self,
         jobs: Vec<(Arc<Circuit>, Request)>,
     ) -> Vec<Result<Response, ServiceError>> {
-        self.submit_batch_with(
+        self.submit_batch_cancellable(
             jobs.into_iter()
-                .map(|(circuit, request)| (circuit, request, None))
+                .map(|(circuit, request)| (circuit, request, None, None))
                 .collect(),
         )
     }
 
     /// [`submit_batch`](Self::submit_batch) with an optional progress
-    /// sink per job (see [`submit_streaming`](Self::submit_streaming)).
-    #[must_use]
-    pub fn submit_batch_with(
-        &self,
-        jobs: Vec<(Arc<Circuit>, Request, Option<ProgressFn>)>,
-    ) -> Vec<Result<Response, ServiceError>> {
-        self.submit_batch_cancellable(
-            jobs.into_iter()
-                .map(|(circuit, request, progress)| (circuit, request, progress, None))
-                .collect(),
-        )
-    }
-
-    /// [`submit_batch_with`](Self::submit_batch_with) with an optional
-    /// cooperative [`CancelToken`] per job (see
+    /// sink (see [`submit_streaming`](Self::submit_streaming)) and an
+    /// optional cooperative [`CancelToken`] per job (see
     /// [`submit_cancellable`](Self::submit_cancellable)). Tokens are
     /// independent: cancelling one job of a batch never disturbs its
     /// neighbours — their parts keep running and their responses stay

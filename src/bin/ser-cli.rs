@@ -32,7 +32,7 @@
 //! entries are evicted at store time); `cache stats` / `cache clear`
 //! inspect and empty the directory.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -158,6 +158,13 @@ fn cmd_advise(
 ) -> Result<(), String> {
     let c = load(path)?;
     let session = AnalysisSession::new(&c).map_err(|e| e.to_string())?;
+    // The base circuit's logic gates, each dropped once hardened: its
+    // voter keeps the gate's name, and replicas are never candidates.
+    let mut candidates: HashSet<String> = c
+        .node_ids()
+        .filter(|&id| c.node(id).kind().is_logic())
+        .map(|id| c.node(id).name().to_owned())
+        .collect();
     let mut wf = WhatIfSession::new(session, threads);
     let base_total = wf.total_ser();
     println!(
@@ -179,12 +186,13 @@ fn cmd_advise(
         let report = wf.report();
         let circuit = Arc::clone(wf.circuit());
         let plan = HardeningPlan::greedy(&circuit, &report, cost, remaining);
-        // TMR applies to logic gates; the plan may also rank inputs
-        // and flip-flops, so skip to the best protectable pick.
+        // TMR applies to logic gates not yet hardened; the plan may
+        // also rank inputs, flip-flops, voters and replicas, so skip to
+        // the best protectable pick.
         let Some(choice) = plan
             .choices()
             .iter()
-            .find(|ch| circuit.node(ch.node).kind().is_logic())
+            .find(|ch| candidates.contains(circuit.node(ch.node).name()))
             .copied()
         else {
             println!(
@@ -193,6 +201,7 @@ fn cmd_advise(
             break;
         };
         let name = circuit.node(choice.node).name().to_owned();
+        candidates.remove(&name);
         let outcome = wf
             .apply(Edit::Tmr(choice.node))
             .map_err(|e| e.to_string())?;

@@ -55,6 +55,37 @@ fn gen_info_analyze_epp_pipeline() {
 }
 
 #[test]
+fn advise_never_repicks_a_hardened_gate() {
+    // s1423 seed 1 ranks G303 first, then its voter (which keeps the
+    // name `G303`) first again: round 2 used to re-TMR it and fail.
+    let bench = temp_path("advise_s1423.bench");
+    let mut gen = cli();
+    gen.args(["gen", "s1423", "--seed", "1", "-o"]).arg(&bench);
+    assert!(gen.output().unwrap().status.success());
+    let out = cli()
+        .arg("advise")
+        .arg(&bench)
+        .args(["--rounds", "3", "--threads", "1"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "advise failed: {out:?}");
+    assert!(text.contains("after 3 hardening edits"), "{text}");
+    // Table rows start with the round number; column 2 is the gate.
+    let picks: Vec<&str> = text
+        .lines()
+        .filter(|l| l.trim_start().starts_with(|c: char| c.is_ascii_digit()))
+        .filter_map(|l| l.split_whitespace().nth(1))
+        .collect();
+    let distinct: std::collections::HashSet<&&str> = picks.iter().collect();
+    assert!(
+        distinct.len() == 3 && picks.iter().all(|p| !p.contains("__r")),
+        "a hardened gate or replica was picked again: {picks:?}"
+    );
+    let _ = std::fs::remove_file(&bench);
+}
+
+#[test]
 fn convert_round_trips_formats() {
     let bench = temp_path("rt.bench");
     let verilog = temp_path("rt.v");

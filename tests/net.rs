@@ -13,7 +13,7 @@ use ser_suite::netlist::{parse_bench, Circuit};
 use ser_suite::service::json::{self, JsonValue};
 use ser_suite::service::{
     serve, EngineConfig, ProtocolEngine, Request, SerService, SerServiceConfig, SweepRequest,
-    TcpShutdownHandle, TcpTransport,
+    TcpShutdownHandle, TcpTransport, MAX_LINE_BYTES,
 };
 
 /// A running loopback server and the service it fronts.
@@ -363,6 +363,41 @@ fn malformed_tcp_lines_get_error_frames() {
     let (_, ok) = client.recv_reply();
     assert_eq!(ok.get("frame").and_then(JsonValue::as_str), Some("result"));
     let _ = std::fs::remove_file(&toy);
+}
+
+/// A request line longer than `MAX_LINE_BYTES` is refused before auth
+/// with a `bad_request` frame and a close, and the server keeps serving
+/// other connections.
+#[test]
+fn oversized_request_line_is_refused_and_closed() {
+    let server = Server::start(EngineConfig {
+        auth_token: Some("secret".to_owned()),
+        ..EngineConfig::default()
+    });
+    let mut client = server.connect();
+    // Without a cap the server waits for a newline forever; the short
+    // timeout turns that into a failed read instead of a hang.
+    let timeout = Some(Duration::from_secs(10));
+    client.stream.set_read_timeout(timeout).unwrap();
+    client
+        .stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .unwrap();
+    let err = client.recv();
+    let code = err.get("error").and_then(|e| e.get("code"));
+    assert_eq!(
+        code.and_then(JsonValue::as_str),
+        Some("bad_request"),
+        "{err}"
+    );
+    assert!(client.at_eof(), "connection closes after the refusal");
+
+    let mut other = server.connect();
+    other.send(r#"{"v": 2, "op": "hello", "token": "secret"}"#);
+    other.recv_reply();
+    other.send(r#"{"v": 2, "op": "stats"}"#);
+    let (_, ok) = other.recv_reply();
+    assert_eq!(ok.get("frame").and_then(JsonValue::as_str), Some("result"));
 }
 
 /// Graceful shutdown: the serve loop returns, in-flight connections

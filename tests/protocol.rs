@@ -6,6 +6,7 @@
 
 use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -168,7 +169,7 @@ fn v2_envelope_parses_each_op_with_nested_containers() {
     ));
     assert!(matches!(
         parse_wire_line(r#"{"v": 2, "op": "hello", "token": "s"}"#).unwrap(),
-        ParsedLine::V2(r) if matches!(r.op, WireOp::Hello { token: Some(_) })
+        ParsedLine::V2(r) if matches!(r.op, WireOp::Hello { token: Some(_), .. })
     ));
 }
 
@@ -1250,6 +1251,33 @@ impl LineStream for ChannelLines {
     }
 }
 
+/// Opens a session on the in-memory connection behind `line_tx` and
+/// returns its key: a canceller must present it to reach that
+/// connection's requests.
+fn open_session(line_tx: &Sender<Option<String>>, frame_rx: &Receiver<String>) -> String {
+    let hello = r#"{"v": 2, "op": "hello"}"#.to_owned();
+    line_tx.send(Some(hello)).unwrap();
+    let frame = json::parse_value(&frame_rx.recv().unwrap()).unwrap();
+    frame
+        .get("session")
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_owned()
+}
+
+/// Sends `cancel` for `target` from a second connection that joins
+/// `session`; returns the cancel's reply frame.
+fn cancel_in_session(engine: &ProtocolEngine, session: &str, target: &str) -> JsonValue {
+    let replies = run_lines(
+        engine,
+        vec![
+            format!(r#"{{"v": 2, "op": "hello", "session": "{session}"}}"#),
+            format!(r#"{{"v": 2, "id": "c", "op": "cancel", "target": "{target}"}}"#),
+        ],
+    );
+    json::parse_value(&replies[1]).unwrap()
+}
+
 /// A frame sink that forwards every complete line to the test thread
 /// the moment it is written.
 struct FrameTap {
@@ -1306,6 +1334,7 @@ fn cancel_races_cleanly_with_completion_and_leaves_the_session_clean() {
         })
     };
 
+    let session = open_session(&line_tx, &frame_rx);
     line_tx
         .send(Some(format!(
             r#"{{"v": 2, "id": "big", "op": "sweep", "netlist": "{bench}", "top": 0, "progress": true}}"#
@@ -1327,11 +1356,7 @@ fn cancel_races_cleanly_with_completion_and_leaves_the_session_clean() {
             "finished before first progress: {seen:?}"
         );
     }
-    let cancel_replies = run_lines(
-        &engine,
-        vec![r#"{"v": 2, "id": "c", "op": "cancel", "target": "big"}"#.to_owned()],
-    );
-    let v = json::parse_value(&cancel_replies[0]).unwrap();
+    let v = cancel_in_session(&engine, &session, "big");
     // Found unless the sweep won the race and already deregistered;
     // either way the frame is well-formed and nothing hangs.
     let found = matches!(v.get("found"), Some(&JsonValue::Bool(true)));
@@ -1391,11 +1416,11 @@ fn cancel_mid_sweep_on_s9234_aborts_promptly_and_leaves_the_session_warm() {
     // seconds in debug builds, so — unlike the race test above — the
     // cancel *must* win, and the terminal frame must be the
     // `cancelled` error. Latency from cancel to that frame is a couple
-    // of part boundaries (~ms at 4-site parts; the release-mode
-    // `service_bench` tracks the <50 ms wire contract as
-    // `cancel_latency_ms`); the bound here is deliberately loose so a
-    // loaded CI host cannot flake it, while still proving the abort
-    // beat the multi-second uncancelled run by an order of magnitude.
+    // of part boundaries (~ms at 4-site parts, well inside the <50 ms
+    // wire contract in release builds); the bound here is deliberately
+    // loose so a loaded CI host cannot flake it, while still proving
+    // the abort beat the multi-second uncancelled run by an order of
+    // magnitude.
     let circuit = ser_suite::gen::synthesize(&ser_suite::gen::profile("s9234").unwrap(), 1);
     let mut path = std::env::temp_dir();
     path.push(format!("ser_protocol_{}_s9234.bench", std::process::id()));
@@ -1421,6 +1446,7 @@ fn cancel_mid_sweep_on_s9234_aborts_promptly_and_leaves_the_session_warm() {
         })
     };
 
+    let session = open_session(&line_tx, &frame_rx);
     line_tx
         .send(Some(format!(
             r#"{{"v": 2, "id": "big", "op": "sweep", "netlist": "{bench}", "top": 0, "progress": true}}"#
@@ -1434,16 +1460,17 @@ fn cancel_mid_sweep_on_s9234_aborts_promptly_and_leaves_the_session_warm() {
             _ => {}
         }
     }
-    let t = std::time::Instant::now();
-    let cancel_replies = run_lines(
-        &engine,
-        vec![r#"{"v": 2, "id": "c", "op": "cancel", "target": "big"}"#.to_owned()],
+    // A connection outside the session cannot reach the sweep.
+    let v = cancel_in_session(&engine, "another-session", "big");
+    assert!(
+        matches!(v.get("found"), Some(&JsonValue::Bool(false))),
+        "a cancel crossed sessions: {v}"
     );
-    let v = json::parse_value(&cancel_replies[0]).unwrap();
+    let t = std::time::Instant::now();
+    let v = cancel_in_session(&engine, &session, "big");
     assert!(
         matches!(v.get("found"), Some(&JsonValue::Bool(true))),
-        "a seconds-long sweep is still registered: {}",
-        cancel_replies[0]
+        "a seconds-long sweep is still registered: {v}"
     );
     let terminal = loop {
         let frame = frame_rx.recv().expect("cancelled sweep must answer");

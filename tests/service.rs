@@ -576,6 +576,7 @@ fn plan_cache_survives_service_restart() {
     let baseline = first
         .submit(&circuit, Request::Sweep(SweepRequest::default()))
         .unwrap();
+    assert!(!baseline.meta.warm_session, "first request compiles");
     let stats = first.stats();
     assert_eq!(stats.plan_cache_hits, 0);
     assert_eq!(stats.plan_cache_misses, 1);
@@ -587,6 +588,10 @@ fn plan_cache_survives_service_restart() {
     let replay = second
         .submit(&circuit, Request::Sweep(SweepRequest::default()))
         .unwrap();
+    assert!(
+        !replay.meta.warm_session,
+        "a loaded plan is still a cold session"
+    );
     let stats = second.stats();
     assert_eq!(stats.plan_cache_hits, 1, "restart hits the artifact cache");
     assert_eq!(stats.plan_cache_misses, 0);

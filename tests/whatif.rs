@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use ser_suite::epp::{AnalysisSession, Edit, WhatIfSession};
-use ser_suite::gen::{lfsr, s27, RandomDag};
+use ser_suite::gen::{lfsr, profile, s27, synthesize, RandomDag};
 use ser_suite::netlist::{Circuit, GateKind, NodeId};
 use ser_suite::sp::InputProbs;
 
@@ -202,4 +202,18 @@ fn whatif_s27_all_edit_kinds_stacked() {
     assert!(wf.revert().is_some());
     assert!(wf.revert().is_some());
     assert_eq!(wf.total_ser().to_bits(), o1.total.to_bits());
+
+    // A fanout-free gate takes the sink-TMR splice (no cone walk): on
+    // s27 and on a synthesized s953, it too must match the oracle.
+    for c in [s27(), synthesize(&profile("s953").unwrap(), 1)] {
+        let sink = c
+            .node_ids()
+            .find(|&id| c.node(id).kind().is_logic() && c.node(id).fanout().is_empty())
+            .expect("a fanout-free gate");
+        let mut wf = WhatIfSession::new(AnalysisSession::new(c).expect("compiles"), 2);
+        wf.apply(Edit::Tmr(sink)).expect("tmr applies");
+        let (full, full_total) = wf.full_recompute().expect("oracle compiles");
+        assert_eq!(*wf.results().as_ref(), full);
+        assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
+    }
 }

@@ -12,10 +12,10 @@
 //! would silently break the equivalence every proptest oracle and the
 //! Mendo sequential-stopping accuracy contract rest on.
 //!
-//! Like the rest of the tree (`tools/bench-diff`, the hand-rolled JSON
-//! layer), this is a vendored-offline tool: no external dependencies,
-//! a strict hand-rolled lexer ([`lexer`]), and a token-shaped rule
-//! engine ([`rules`]). `ser-lint check` walks every `.rs` file under
+//! Like the rest of the tree (the service's hand-rolled JSON layer),
+//! this is a vendored-offline tool: no external dependencies, a strict
+//! hand-rolled lexer ([`lexer`]), and a token-shaped rule engine
+//! ([`rules`]). `ser-lint check` walks every `.rs` file under
 //! `crates/`, `src/`, `tools/` and `tests/`, prints `file:line`
 //! diagnostics, and exits non-zero on any violation — CI runs it as a
 //! gate. `ser-lint rules` prints the rule table.
