@@ -700,9 +700,8 @@ impl EppAnalysis {
     /// The batched sweep over an explicit site list forced onto the
     /// per-site reference kernel (no cone plans consulted, none
     /// compiled). Bit-identical to the planned sweep; the what-if
-    /// engine uses it to re-sweep a handful of structurally dirty
-    /// sites on an edited circuit without paying that circuit's plan
-    /// compile.
+    /// engine uses it when an edit dirties too few sites of a circuit
+    /// without plans to pay for that circuit's plan compile.
     ///
     /// # Panics
     ///

@@ -22,22 +22,19 @@
 //!    which is exactly `s ∈ backward-comb-closure(seeds)` — one
 //!    [`TopoArtifacts::comb_ancestors`] pass over the fanin edges, no
 //!    cone enumeration.
-//! 3. **Two-tier re-sweep.** Dirty sites whose cone contains changed
-//!    *structure* are re-swept on the edited circuit with the
-//!    per-site reference kernel (no plan compile). Dirty sites whose
-//!    cone is structurally untouched — only upstream SP moved — have
-//!    bit-identical cone tables in the *previous* circuit, so they
-//!    re-sweep on the already-compiled warm [`ConePlans`] with the new
-//!    SP values remapped into the old id space. TMR of a *fanout-free*
-//!    gate short-circuits both tiers: only the hardened gate's own
-//!    observe point can change, and the cached arena already records
-//!    each dirty site's four-value state there, so the new arrival is
-//!    one TMR-voter rule application per site, patched in during the
-//!    splice (`SweepResults::splice_tmr_sink`) with no cone walk at
-//!    all.
+//! 3. **Re-sweep.** Every dirty site re-sweeps on the *edited*
+//!    circuit, on its own [`ConePlans`] when they are already compiled
+//!    or when at least 1/8 of the sites are dirty (`COMPILE_DIVISOR`:
+//!    the compile then pays for itself), and on the per-site reference
+//!    kernel otherwise. TMR of a *fanout-free* gate skips the re-sweep:
+//!    only the hardened gate's own observe point can change, and the
+//!    cached arena already records each dirty site's four-value state
+//!    there, so the new arrival is one TMR-voter rule application per
+//!    site, patched in during the splice
+//!    (`SweepResults::splice_tmr_sink`) with no cone walk at all.
 //! 4. **Splice.** Clean sites are copied from the cached arena
 //!    (observe-point ids remapped where the arena ids shifted); the
-//!    re-swept tiers are spliced in by site id. Because every kernel
+//!    re-swept sites are spliced in by site id. Because every kernel
 //!    involved is bit-identical and untouched cones read untouched
 //!    inputs, the spliced arena equals a from-scratch sweep
 //!    bit-for-bit — [`full_recompute`](WhatIfSession::full_recompute)
@@ -45,7 +42,9 @@
 //!
 //! Edits stack: each [`apply`](WhatIfSession::apply) pushes a state,
 //! [`revert`](WhatIfSession::revert) pops one — the service's
-//! `whatif` / `whatif_revert` ops drive exactly this pair.
+//! `whatif` / `whatif_revert` ops drive exactly this pair. Only the
+//! base and the top state hold compiled plans: a push releases the
+//! plans of the state it buries.
 //!
 //! [`HardeningPlan`]: crate::HardeningPlan
 //! [`harden_tmr`]: ser_netlist::harden_tmr
@@ -67,6 +66,16 @@ use crate::ser_model::{PlatchedModel, RseuModel, SerReport};
 use crate::session::AnalysisSession;
 use crate::sweep::SweepResults;
 
+/// An edit that dirties at least `1 / COMPILE_DIVISOR` of the sites
+/// compiles the edited circuit's cone plans to re-sweep them; a smaller
+/// one runs the per-site reference kernel. Measured break-even is about
+/// 9% of sites on s1423 and about 20% on s9234 (on s1423 a site costs
+/// ~32 µs on the reference kernel against ~4 µs on plans, and the
+/// compile ~2 ms). Hardening dirties bimodally: in perfbench's `harden`
+/// loop 28% of applies dirty under 5% of the circuit and most of the
+/// rest 20% or more, so the cut sits in the gap and both sides run.
+const COMPILE_DIVISOR: usize = 8;
+
 /// One circuit edit the what-if engine understands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Edit {
@@ -86,8 +95,8 @@ pub enum Edit {
 pub enum WhatIfAbort {
     /// The edit was invalid or the edited circuit failed to compile.
     Compile(SpError),
-    /// The cancellation token tripped between re-analysis tiers; the
-    /// session's edit stack is untouched (no state was pushed).
+    /// The cancellation token tripped at a checkpoint; the session's
+    /// edit stack is untouched (no state was pushed).
     Cancelled(CancelCause),
 }
 
@@ -129,16 +138,15 @@ pub struct WhatIfOutcome {
     pub total: f64,
     /// Sites whose results were re-derived (dirty region size).
     pub dirty_sites: usize,
-    /// Dirty sites re-derived from warm cached state without touching
-    /// the reference kernel: re-swept on the previous circuit's
-    /// already-compiled cone plans (SP-only dirt), or — for a
-    /// fanout-free TMR edit — patched directly from the arrival the
-    /// cached arena already holds at the hardened gate's observe
-    /// point. 0 when a cold session sends everything to the reference
-    /// tier.
+    /// Dirty sites re-derived without the reference kernel: re-swept
+    /// on the edited circuit's cone plans, or — for a fanout-free TMR
+    /// edit — patched directly from the arrival the cached arena
+    /// already holds at the hardened gate's observe point.
     pub resweep_planned: usize,
-    /// Dirty sites re-swept with the reference kernel on the edited
-    /// circuit (structurally dirty, or everything on a cold session).
+    /// Dirty sites re-swept with the per-site reference kernel: all of
+    /// them when the edited circuit has no plans and too few sites are
+    /// dirty to pay for a compile, or the seven inserted sites of a
+    /// fanout-free TMR edit.
     pub resweep_reference: usize,
     /// Sites in the edited circuit (`dirty_sites / total_sites` is the
     /// dirty fraction the bench reports).
@@ -198,7 +206,7 @@ pub struct WhatIfSession {
 impl WhatIfSession {
     /// Opens a session, paying one whole-circuit sweep to fill the
     /// base results cache (this also primes the circuit's cone plans,
-    /// which the first edit's SP-only tier then reuses warm).
+    /// which input edits on the base state then reuse warm).
     #[must_use]
     pub fn new(session: AnalysisSession, threads: usize) -> Self {
         let results = Arc::new(session.epp().sweep(threads, session.workspace_pool()));
@@ -327,8 +335,9 @@ impl WhatIfSession {
     }
 
     /// [`apply`](Self::apply) with a cooperative [`CancelToken`],
-    /// polled between the re-analysis tiers (after the SP forward
-    /// recompute, before each re-sweep tier, before the splice). A
+    /// polled after the SP forward recompute, inside the edited
+    /// circuit's plan compile (the compile leaves the plan slot empty
+    /// when cancelled) and before the splice. A
     /// trip aborts with [`WhatIfAbort::Cancelled`] **before** any
     /// state is pushed: the edit stack, cached arenas and totals are
     /// exactly as they were, so a subsequent apply (or nothing at all)
@@ -338,7 +347,7 @@ impl WhatIfSession {
     ///
     /// [`WhatIfAbort::Compile`] exactly where [`apply`](Self::apply)
     /// errors, [`WhatIfAbort::Cancelled`] when `cancel` trips at a
-    /// tier boundary.
+    /// checkpoint.
     pub fn apply_cancellable(
         &mut self,
         edit: Edit,
@@ -354,7 +363,6 @@ impl WhatIfSession {
         let cur = self.stack.last().expect("stack holds at least the base");
 
         // --- 1. Edited circuit + old→new id map + seed structure. ---
-        let same_circuit = matches!(edit, Edit::SetInputs(_));
         let (circuit, fwd, structural_new, inputs) = match &edit {
             Edit::Tmr(node) => {
                 let c = Arc::new(harden_tmr(&cur.circuit, &[*node])?);
@@ -397,7 +405,7 @@ impl WhatIfSession {
                 )
             }
         };
-        let topo = if same_circuit {
+        let topo = if matches!(edit, Edit::SetInputs(_)) {
             Arc::clone(&cur.topo)
         } else {
             Arc::new(TopoArtifacts::compute(&circuit)?)
@@ -438,7 +446,7 @@ impl WhatIfSession {
             )?)
         };
 
-        // SP recompute done — first tier boundary.
+        // SP recompute done — first checkpoint.
         checkpoint()?;
 
         // rev[new id] = old id, for splice copies and delta reporting.
@@ -528,9 +536,9 @@ impl WhatIfSession {
                 });
             (results, dirty, fast_count, struct_sites.len())
         } else {
-            // --- 3b. General path: dirty region, two-tier re-sweep,
-            // splice. Seeds = changed structure ∪ SP-changed nodes ∪
-            // their direct consumers (off-path pins read SP). --------
+            // --- 3b. General path: dirty region, re-sweep, splice.
+            // Seeds = changed structure ∪ SP-changed nodes ∪ their
+            // direct consumers (off-path pins read SP). ---------------
             let mut seeds: Vec<NodeId> = structural_new.clone();
             for old in cur.circuit.node_ids() {
                 let new = fwd[old.index()];
@@ -540,108 +548,47 @@ impl WhatIfSession {
                 }
             }
             let dirty = topo.comb_ancestors(&circuit, seeds.iter().copied());
-            let struct_dirty = topo.comb_ancestors(&circuit, structural_new.iter().copied());
+            let dirty_sites: Vec<NodeId> =
+                circuit.node_ids().filter(|id| dirty[id.index()]).collect();
 
-            // Warm tier: SP-only-dirty sites have bit-identical cone
-            // tables in the previous circuit, so they run on its
-            // already-compiled plans with the new SP remapped into old
-            // ids. Cold sessions (plans never compiled) send everything
-            // to the reference tier instead.
-            let warm = cur.topo.cone_plans_primed().is_some();
-            let mut planned_mask = vec![false; circuit.len()];
-            let mut reference_sites: Vec<NodeId> = Vec::new();
-            let mut planned_sites_old: Vec<NodeId> = Vec::new();
-            for i in 0..circuit.len() {
-                if !dirty[i] {
-                    continue;
-                }
-                if warm && !struct_dirty[i] {
-                    planned_mask[i] = true;
-                    planned_sites_old
-                        .push(rev[i].expect("a structurally clean site survives the edit"));
-                } else {
-                    reference_sites.push(NodeId::from_index(i));
-                }
-            }
-            // Reference tier boundary.
-            checkpoint()?;
-            let reference_results = if reference_sites.is_empty() {
-                None
+            // Plans already compiled are free; a compile pays off only
+            // for a large enough dirty region (see COMPILE_DIVISOR).
+            let on_plans = topo.cone_plans_primed().is_some()
+                || (dirty_sites.len() * COMPILE_DIVISOR >= circuit.len()
+                    && topo.cone_plans_cancellable(&circuit, cancel)?.is_some());
+            let analysis = EppAnalysis::from_artifacts(
+                Arc::clone(&circuit),
+                Arc::clone(&topo),
+                Arc::clone(&sp),
+            );
+            let fresh = if on_plans {
+                analysis.sweep_sites_with(&dirty_sites, PolarityMode::Tracked, self.threads, pool)
             } else {
-                let analysis = EppAnalysis::from_artifacts(
-                    Arc::clone(&circuit),
-                    Arc::clone(&topo),
-                    Arc::clone(&sp),
-                );
-                Some(analysis.sweep_sites_unplanned(
-                    &reference_sites,
+                analysis.sweep_sites_unplanned(
+                    &dirty_sites,
                     PolarityMode::Tracked,
                     self.threads,
                     pool,
-                ))
-            };
-            // Planned (warm) tier boundary.
-            checkpoint()?;
-            let planned_results = if planned_sites_old.is_empty() {
-                None
-            } else {
-                let remapped = if same_circuit {
-                    Arc::clone(&sp)
-                } else {
-                    Arc::new(SpVector::new(
-                        cur.circuit
-                            .node_ids()
-                            .map(|old| sp.get(fwd[old.index()]))
-                            .collect(),
-                    ))
-                };
-                let analysis = EppAnalysis::from_artifacts(
-                    Arc::clone(&cur.circuit),
-                    Arc::clone(&cur.topo),
-                    remapped,
-                );
-                Some(analysis.sweep_sites_with(
-                    &planned_sites_old,
-                    PolarityMode::Tracked,
-                    self.threads,
-                    pool,
-                ))
+                )
             };
 
             // Splice boundary: the last chance to abort before the
             // new arena is assembled.
             checkpoint()?;
-            // Splice into a fresh dense arena. Both re-sweep site
-            // lists and the splice walk ascend in new id order (the
-            // old→new map is monotone), so plain cursors line results
-            // up with sites.
-            let mut ref_cursor = 0usize;
-            let mut planned_cursor = 0usize;
+            // Splice into a fresh dense arena. The re-swept sites and
+            // the splice walk both ascend in new id order, so a plain
+            // cursor lines results up with sites.
+            let mut cursor = 0usize;
             let results = SweepResults::assemble_dense(
                 circuit.len(),
                 cur.results.total_points(),
                 |id, points| {
                     let i = id.index();
-                    if let Some(res) = reference_results
-                        .as_ref()
-                        .filter(|_| dirty[i] && !planned_mask[i])
-                    {
-                        let site = res.get(ref_cursor);
-                        ref_cursor += 1;
-                        debug_assert_eq!(site.site(), id, "reference splice order");
+                    if dirty[i] {
+                        let site = fresh.get(cursor);
+                        cursor += 1;
+                        debug_assert_eq!(site.site(), id, "splice order");
                         points.extend_from_slice(site.per_point());
-                        (site.p_sensitized(), gates_u32(site.on_path_gates()))
-                    } else if planned_mask[i] {
-                        let res = planned_results
-                            .as_ref()
-                            .expect("planned mask implies results");
-                        let site = res.get(planned_cursor);
-                        planned_cursor += 1;
-                        debug_assert_eq!(Some(site.site()), rev[i], "planned splice order");
-                        points.extend(site.per_point().iter().map(|p| PointEpp {
-                            point: remap_point(p.point),
-                            value: p.value,
-                        }));
                         (site.p_sensitized(), gates_u32(site.on_path_gates()))
                     } else {
                         let old = rev[i].expect("a clean site survives the edit");
@@ -654,12 +601,12 @@ impl WhatIfSession {
                     }
                 },
             );
-            (
-                results,
-                dirty,
-                planned_sites_old.len(),
-                reference_sites.len(),
-            )
+            let (planned, reference) = if on_plans {
+                (dirty_sites.len(), 0)
+            } else {
+                (0, dirty_sites.len())
+            };
+            (results, dirty, planned, reference)
         };
 
         // --- 4. Totals, deltas, push. --------------------------------
@@ -694,6 +641,13 @@ impl WhatIfSession {
             results: Arc::new(results),
             total,
         };
+        // Only the base and the top state keep compiled plans: a buried
+        // edited state swaps in plan-less artifacts so its arena is freed.
+        if let [_, .., below] = self.stack.as_mut_slice() {
+            if below.topo.cone_plans_primed().is_some() {
+                below.topo = Arc::new(below.topo.without_plans());
+            }
+        }
         self.stack.push(state);
         Ok(outcome)
     }

@@ -231,12 +231,24 @@ impl TopoArtifacts {
 
     /// The already-built cone plans, if any — a peek that never
     /// triggers compilation. The what-if engine uses this to decide
-    /// whether a dirty re-sweep can ride the warm plan kernel or should
-    /// take the per-site reference path instead of paying a cold plan
-    /// compile it was created to avoid.
+    /// whether an edit's dirty sites re-sweep on plans that are already
+    /// paid for, or whether the dirty region is small enough that the
+    /// per-site reference kernel beats a compile.
     #[must_use]
     pub fn cone_plans_primed(&self) -> Option<&Arc<ConePlans>> {
         self.plans.get().and_then(Option::as_ref)
+    }
+
+    /// A copy of these artifacts with an empty plan slot, so whoever
+    /// swaps it in for the original stops holding the compiled plans
+    /// (the what-if engine does this for states buried under a newer
+    /// edit).
+    #[must_use]
+    pub fn without_plans(&self) -> Self {
+        TopoArtifacts {
+            plans: OnceLock::new(),
+            ..self.clone()
+        }
     }
 
     /// The cached per-site cone plans, built on first use and shared by
@@ -461,6 +473,12 @@ mod tests {
             t.cone_plans_primed().unwrap(),
             &built
         ));
+        let bare = t.without_plans();
+        assert!(
+            bare.cone_plans_primed().is_none(),
+            "the copy drops the plans"
+        );
+        assert_eq!(bare, t, "and keeps the structure");
     }
 
     #[test]

@@ -183,12 +183,14 @@ pub enum ServiceError {
     },
     /// A request parameter was out of range.
     InvalidRequest(String),
-    /// A request asked for more work than the operator-configured
-    /// ceiling allows ([`SerServiceConfig`](crate::SerServiceConfig)'s
-    /// `max_vectors` / `max_cycles` / `max_runs`). Rejected up front,
-    /// before the request reaches the executor.
+    /// A request asked for more work than a ceiling allows
+    /// ([`SerServiceConfig`](crate::SerServiceConfig)'s `max_vectors` /
+    /// `max_cycles` / `max_runs`, or the what-if stack depth cap
+    /// [`SerService::MAX_WHATIF_DEPTH`](crate::SerService::MAX_WHATIF_DEPTH)).
+    /// Rejected up front, before the request does any work.
     CapExceeded {
-        /// Which knob was exceeded (`"vectors"`, `"cycles"`, `"runs"`).
+        /// Which knob was exceeded (`"vectors"`, `"cycles"`, `"runs"`,
+        /// `"whatif_depth"`).
         what: &'static str,
         /// What the request asked for.
         requested: u64,

@@ -382,6 +382,11 @@ struct Prepared {
 }
 
 impl SerService {
+    /// Most edits one what-if stack holds
+    /// ([`whatif_apply`](Self::whatif_apply)): every level keeps a full
+    /// sweep arena, so an unbounded stack is unbounded memory.
+    pub const MAX_WHATIF_DEPTH: usize = 64;
+
     /// Creates a service with an explicit configuration.
     ///
     /// # Panics
@@ -641,7 +646,8 @@ impl SerService {
 
     /// Applies one incremental edit to `circuit`'s what-if stack and
     /// returns the engine's outcome: new total SER, per-site deltas
-    /// over the dirty region, and the re-sweep tier split. The first
+    /// over the dirty region, and how many dirty sites re-swept on
+    /// plans and on the reference kernel. The first
     /// call against a netlist creates the stack from the warm session
     /// (see [`whatif_session`](Self::whatif_session)); later calls pay
     /// only the dirty-region re-analysis.
@@ -653,17 +659,22 @@ impl SerService {
     /// base netlist the caller loaded.
     ///
     /// An optional cooperative [`CancelToken`] is polled at the session
-    /// compile's plan-build checkpoints and at the re-sweep's tier
-    /// boundaries (SP recompute → reference tier → planned tier →
-    /// splice). A trip leaves the edit stack exactly as it was — the
-    /// partially re-analyzed state is dropped, never pushed.
+    /// compile's plan-build checkpoints and at the what-if engine's
+    /// checkpoints (after the SP recompute, inside the edited circuit's
+    /// plan compile, before the splice). A trip leaves the edit stack
+    /// exactly as it was — the partially re-analyzed state is dropped,
+    /// never pushed.
+    ///
+    /// A stack holds at most [`MAX_WHATIF_DEPTH`](Self::MAX_WHATIF_DEPTH)
+    /// edits.
     ///
     /// # Errors
     ///
-    /// Whatever `edit` returns, [`ServiceError::Compile`] when the
-    /// edited circuit's signal probabilities cannot be computed (the
-    /// stack is left untouched), or [`ServiceError::Cancelled`] when the
-    /// token trips.
+    /// Whatever `edit` returns, [`ServiceError::CapExceeded`] (`what`
+    /// `"whatif_depth"`) when the stack is full, [`ServiceError::Compile`]
+    /// when the edited circuit's signal probabilities cannot be computed,
+    /// or [`ServiceError::Cancelled`] when the token trips. On every
+    /// error the stack is left untouched.
     pub fn whatif_apply(
         &self,
         circuit: &Arc<Circuit>,
@@ -672,6 +683,13 @@ impl SerService {
     ) -> Result<WhatIfOutcome, ServiceError> {
         let wf = self.whatif_session(circuit, cancel)?;
         let mut wf = lock_clean(&wf);
+        if wf.depth() >= Self::MAX_WHATIF_DEPTH {
+            return Err(ServiceError::CapExceeded {
+                what: "whatif_depth",
+                requested: wf.depth() as u64 + 1,
+                cap: Self::MAX_WHATIF_DEPTH as u64,
+            });
+        }
         let edit = edit(wf.circuit())?;
         wf.apply_cancellable(edit, cancel).map_err(|e| match e {
             WhatIfAbort::Compile(e) => ServiceError::Compile(e),

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use ser_suite::epp::{AnalysisSession, PolarityMode};
+use ser_suite::epp::{AnalysisSession, Edit, PolarityMode};
 use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder};
 use ser_suite::netlist::Circuit;
 use ser_suite::service::{
@@ -13,6 +13,7 @@ use ser_suite::service::{
     SerService, SerServiceConfig, ServiceError, SiteRequest, SweepRequest,
 };
 use ser_suite::sim::{MonteCarlo, SequentialMonteCarlo};
+use ser_suite::sp::InputProbs;
 
 fn arc(c: Circuit) -> Arc<Circuit> {
     Arc::new(c)
@@ -714,4 +715,31 @@ fn plan_cache_byte_cap_evicts_lru_and_counts() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A what-if stack holds at most `MAX_WHATIF_DEPTH` edits: one more is
+/// rejected as `cap_exceeded` and leaves the stack as it was.
+#[test]
+fn whatif_stack_depth_is_capped() {
+    let circuit = arc(c17());
+    let service = SerService::with_defaults();
+    let inputs = || Ok(Edit::SetInputs(InputProbs::uniform(0.25)));
+    for depth in 1..=SerService::MAX_WHATIF_DEPTH {
+        let outcome = service.whatif_apply(&circuit, |_| inputs(), None).unwrap();
+        assert_eq!(outcome.depth, depth);
+    }
+    let err = service
+        .whatif_apply(&circuit, |_| inputs(), None)
+        .unwrap_err();
+    assert!(
+        matches!(err, ServiceError::CapExceeded { what: "whatif_depth", requested, cap }
+            if requested == cap + 1 && cap == SerService::MAX_WHATIF_DEPTH as u64),
+        "{err}"
+    );
+    let (depth, _) = service.whatif_revert(&circuit).unwrap();
+    assert_eq!(
+        depth,
+        SerService::MAX_WHATIF_DEPTH - 1,
+        "the stack was untouched"
+    );
 }

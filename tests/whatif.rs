@@ -5,9 +5,9 @@
 //! sequences (TMR, kind swap, input change), and 1 vs N threads.
 
 use proptest::prelude::*;
-use ser_suite::epp::{AnalysisSession, Edit, WhatIfSession};
+use ser_suite::epp::{AnalysisSession, Edit, WhatIfAbort, WhatIfSession};
 use ser_suite::gen::{lfsr, profile, s27, synthesize, RandomDag};
-use ser_suite::netlist::{Circuit, GateKind, NodeId};
+use ser_suite::netlist::{CancelToken, Circuit, GateKind, NodeId};
 use ser_suite::sp::InputProbs;
 
 /// Picks the `i`-th TMR-able gate (cyclically) — deterministic from
@@ -216,4 +216,91 @@ fn whatif_s27_all_edit_kinds_stacked() {
         assert_eq!(*wf.results().as_ref(), full);
         assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
     }
+}
+
+/// Asserts the current state equals a from-scratch analysis bitwise.
+fn assert_matches_oracle(wf: &WhatIfSession) {
+    let (full, full_total) = wf.full_recompute().expect("oracle compiles");
+    assert_eq!(*wf.results().as_ref(), full);
+    assert_eq!(wf.total_ser().to_bits(), full_total.to_bits());
+}
+
+/// A what-if session on a synthesized s1423, and the names of its two
+/// top-ranked logic gates that have fanout (so TMR takes the general
+/// path, not the sink-TMR splice).
+fn s1423_with_top_gates() -> (WhatIfSession, [String; 2]) {
+    let c = synthesize(&profile("s1423").unwrap(), 1);
+    let wf = WhatIfSession::new(AnalysisSession::new(c).expect("compiles"), 1);
+    let report = wf.report();
+    let mut entries: Vec<_> = report
+        .entries()
+        .iter()
+        .filter(|e| {
+            let node = wf.circuit().node(e.node);
+            node.kind().is_logic() && !node.fanout().is_empty()
+        })
+        .collect();
+    entries.sort_by(|a, b| b.ser.total_cmp(&a.ser).then(a.node.cmp(&b.node)));
+    let name = |i: usize| wf.circuit().node(entries[i].node).name().to_owned();
+    let names = [name(0), name(1)];
+    (wf, names)
+}
+
+/// Pins the re-sweep choice: a large dirty region re-sweeps on the
+/// edited circuit's own plans, a small one on the reference kernel.
+#[test]
+fn whatif_resweeps_large_regions_on_the_edited_circuits_plans() {
+    let (mut wf, names) = s1423_with_top_gates();
+    let mut outcomes = Vec::new();
+    for name in &names {
+        let target = wf.circuit().find(name).expect("names survive TMR");
+        outcomes.push(wf.apply(Edit::Tmr(target)).expect("tmr applies"));
+        assert_matches_oracle(&wf);
+    }
+    let second = &outcomes[1];
+    assert!(
+        second.dirty_sites * 8 >= second.total_sites,
+        "a top-ranked TMR dirties at least 1/8 of s1423: {second:?}"
+    );
+    assert_eq!(second.resweep_reference, 0, "compiled and swept on plans");
+    assert_eq!(second.resweep_planned, second.dirty_sites);
+
+    // Back on the first edit's state, whose plans the second push
+    // released: on this instance a TMR of G75 (signal probability 1,
+    // which the voter reproduces) dirties little more than G75's
+    // fan-in, too little to pay for a compile.
+    wf.revert().expect("one edit to pop");
+    let g75 = wf.circuit().find("G75").expect("s1423 seed 1 has G75");
+    let small = wf.apply(Edit::Tmr(g75)).expect("tmr applies");
+    assert!(small.dirty_sites > 0 && small.dirty_sites * 8 < small.total_sites);
+    assert_eq!(small.resweep_planned, 0, "no compile for a small region");
+    assert_eq!(small.resweep_reference, small.dirty_sites);
+    assert_matches_oracle(&wf);
+}
+
+/// A tripped token aborts an apply at depth ≥ 1 without touching the
+/// stack, and the same edit then applies cleanly: the aborted attempt
+/// left no half-built plans behind.
+#[test]
+fn whatif_cancelled_apply_leaves_the_stack_untouched() {
+    let (mut wf, names) = s1423_with_top_gates();
+    let first = wf.circuit().find(&names[0]).unwrap();
+    wf.apply(Edit::Tmr(first)).expect("tmr applies");
+    let (depth, total, results) = (wf.depth(), wf.total_ser(), wf.results().clone());
+
+    let second = wf.circuit().find(&names[1]).unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let aborted = wf.apply_cancellable(Edit::Tmr(second), Some(&token));
+    assert!(
+        matches!(aborted, Err(WhatIfAbort::Cancelled(_))),
+        "{aborted:?}"
+    );
+    assert_eq!(wf.depth(), depth);
+    assert_eq!(wf.total_ser().to_bits(), total.to_bits());
+    assert_eq!(*wf.results().as_ref(), *results);
+
+    wf.apply(Edit::Tmr(second)).expect("tmr applies");
+    assert_eq!(wf.depth(), depth + 1);
+    assert_matches_oracle(&wf);
 }
