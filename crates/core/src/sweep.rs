@@ -359,17 +359,20 @@ impl SweepResults {
     /// Panics if `site` was not part of this sweep.
     #[must_use]
     pub fn site(&self, site: NodeId) -> SweepSiteRef<'_> {
+        self.try_site(site)
+            .unwrap_or_else(|| panic!("site {site} was not analyzed by this sweep"))
+    }
+
+    /// The result for one site, or `None` if `site` was not part of
+    /// this sweep. O(1) on a whole-circuit (dense) sweep.
+    #[must_use]
+    pub fn try_site(&self, site: NodeId) -> Option<SweepSiteRef<'_>> {
         let pos = if self.dense {
-            let i = site.index();
-            assert!(i < self.sites.len(), "site {site} out of range");
-            i
+            Some(site.index()).filter(|&i| i < self.sites.len())
         } else {
-            self.sites
-                .iter()
-                .position(|&s| s == site)
-                .unwrap_or_else(|| panic!("site {site} was not analyzed by this sweep"))
-        };
-        SweepSiteRef { results: self, pos }
+            self.sites.iter().position(|&s| s == site)
+        }?;
+        Some(SweepSiteRef { results: self, pos })
     }
 
     /// Iterates all site results in request order.
@@ -1174,6 +1177,7 @@ H = OR(C, D, G)
                 assert_eq!(batched.per_point(), reference.per_point());
                 assert_eq!(batched.to_site_epp(), reference);
             }
+            assert!(sweep.try_site(NodeId::from_index(c.len())).is_none());
         }
     }
 
@@ -1247,6 +1251,7 @@ H = OR(C, D, G)
         assert_eq!(sweep.get(1).site(), a);
         assert_eq!(sweep.site(a).to_site_epp(), epp.site(a));
         assert_eq!(sweep.site(h).to_site_epp(), epp.site(h));
+        assert!(sweep.try_site(c.find("B").unwrap()).is_none());
     }
 
     #[test]

@@ -194,7 +194,9 @@ impl CircuitBuilder {
         for (node, fo) in self.nodes.iter_mut().zip(fanouts) {
             node.fanout = fo;
         }
+        let hash = Circuit::fold_hash(&self.name, &self.nodes, &self.outputs);
         let circuit = Circuit {
+            hash,
             name: self.name,
             nodes: self.nodes,
             inputs: self.inputs,

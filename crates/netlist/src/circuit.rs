@@ -101,6 +101,11 @@ impl Node {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
+    /// [`structural_hash`](Self::structural_hash), folded once by
+    /// [`CircuitBuilder::finish`](crate::CircuitBuilder::finish) — the
+    /// only constructor; a `Circuit` has no mutators. First, so derived
+    /// equality rejects differing netlists on it before the arena walk.
+    pub(crate) hash: u64,
     pub(crate) name: String,
     pub(crate) nodes: Vec<Node>,
     pub(crate) inputs: Vec<NodeId>,
@@ -258,9 +263,16 @@ impl Circuit {
     ///
     /// The hash is deterministic across processes and platforms (no
     /// `RandomState`), so it can be logged, compared between runs and
-    /// used as a stable cache key.
+    /// used as a stable cache key. It is computed once, when the
+    /// circuit is built, so reading it is O(1).
     #[must_use]
     pub fn structural_hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The FNV-1a fold behind [`structural_hash`](Self::structural_hash),
+    /// over the parts of a circuit that define it.
+    pub(crate) fn fold_hash(name: &str, nodes: &[Node], outputs: &[NodeId]) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
@@ -270,9 +282,9 @@ impl Circuit {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        eat(self.name.as_bytes());
-        eat(&(self.nodes.len() as u64).to_le_bytes());
-        for node in &self.nodes {
+        eat(name.as_bytes());
+        eat(&(nodes.len() as u64).to_le_bytes());
+        for node in nodes {
             eat(node.name.as_bytes());
             eat(&[0xFF, node.kind as u8]);
             eat(&(node.fanin.len() as u32).to_le_bytes());
@@ -280,8 +292,8 @@ impl Circuit {
                 eat(&(f.0).to_le_bytes());
             }
         }
-        eat(&(self.outputs.len() as u64).to_le_bytes());
-        for o in &self.outputs {
+        eat(&(outputs.len() as u64).to_le_bytes());
+        for o in outputs {
             eat(&(o.0).to_le_bytes());
         }
         h
@@ -488,5 +500,37 @@ mod tests {
             build("tiny2", GateKind::And).structural_hash()
         );
         assert_ne!(c.structural_hash(), tiny().structural_hash());
+    }
+
+    /// A fresh fold over the circuit's current parts — what
+    /// `structural_hash` computed on every call before it was stored.
+    fn refold(c: &Circuit) -> u64 {
+        Circuit::fold_hash(&c.name, &c.nodes, &c.outputs)
+    }
+
+    /// `structural_hash` of [`TINY_BENCH`] parsed as `"tiny"`.
+    const GOLDEN_TINY_HASH: u64 = 0xd431_eead_a3ef_e7db;
+
+    const TINY_BENCH: &str = "INPUT(a)\nINPUT(b)\nOUTPUT(h)\nOUTPUT(g)\n\
+                              g = AND(a, b)\nf = DFF(g)\nh = OR(f, a)\n";
+
+    #[test]
+    fn structural_hash_is_pinned() {
+        // `.serplan` file names and the wire `netlist_hash` are this
+        // value: changing the fold orphans every persisted plan cache.
+        let c = crate::parse_bench(TINY_BENCH, "tiny").unwrap();
+        assert_eq!(c.structural_hash(), GOLDEN_TINY_HASH);
+    }
+
+    #[test]
+    fn stored_hash_matches_a_fresh_fold_for_every_constructor() {
+        let bench = crate::parse_bench(TINY_BENCH, "tiny").unwrap();
+        let verilog = crate::parse_verilog(&crate::write_verilog(&bench)).unwrap();
+        let g = bench.find("g").unwrap();
+        let tmr = crate::transform::harden_tmr(&bench, &[g]).unwrap();
+        for c in [&bench, &verilog, &tiny(), &tmr] {
+            assert_eq!(c.structural_hash(), refold(c), "{}", c.name());
+        }
+        assert_ne!(tmr.structural_hash(), bench.structural_hash());
     }
 }

@@ -109,7 +109,7 @@ pub use protocol::{
     parse_wire_line, serve, BatchOp, CancelOp, Connection, EngineConfig, ErrorCode, FrameSink,
     LineStream, MonteCarloOp, MultiCycleMcOp, MultiCycleOp, ParsedLine, ProtocolEngine,
     SetInputsOp, SiteOp, StdioTransport, SweepOp, Transport, WhatIfEditOp, WhatIfOp,
-    WhatIfRevertOp, WireError, WireOp, WireRequest, PROTOCOL_VERSION, WIRE_OPS,
+    WhatIfRevertOp, WireError, WireOp, WireRequest, MAX_NETLIST_BYTES, PROTOCOL_VERSION, WIRE_OPS,
 };
 pub use request::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, Response, ResponseMeta,

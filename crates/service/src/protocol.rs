@@ -38,7 +38,7 @@
 //! TCP in `tests/net.rs`.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead as _, Write};
+use std::io::{self, BufRead as _, Read as _, Write};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -61,6 +61,11 @@ use crate::sync::{lock_clean, wait_clean};
 /// unversioned flat dialect, recognized by the *absence* of a `"v"`
 /// field and served through the compatibility shim.
 pub const PROTOCOL_VERSION: u64 = 2;
+
+/// The largest netlist file (bytes) the engine reads. A longer file —
+/// or an endless one such as `/dev/zero` — is answered `cap_exceeded`
+/// after at most this many bytes, and nothing is cached.
+pub const MAX_NETLIST_BYTES: u64 = 64 << 20;
 
 /// Every `"op"` spelling [`parse_wire_line`] accepts in a v2 envelope,
 /// v1-compat aliases included. This table is load-bearing twice over:
@@ -930,6 +935,25 @@ fn fmt_prob(p: f64, full_precision: bool) -> String {
     }
 }
 
+/// The positions of the `k` largest `values`, largest first, ties in
+/// ascending position — exactly the first `k` of a stable descending
+/// sort by [`f64::total_cmp`], without sorting all `n`. `k` is clamped
+/// to `n`, so a client's `top` never sizes an allocation.
+#[must_use]
+fn top_k(values: &[f64], k: usize) -> Vec<usize> {
+    let k = k.min(values.len());
+    // Descending value, then ascending position: a strict total order,
+    // so selection and sorting agree on every tie.
+    let rank = |&a: &usize, &b: &usize| values[b].total_cmp(&values[a]).then(a.cmp(&b));
+    let mut ranked: Vec<usize> = (0..values.len()).collect();
+    if 0 < k && k < values.len() {
+        ranked.select_nth_unstable_by(k - 1, rank);
+    }
+    ranked.truncate(k);
+    ranked.sort_unstable_by(rank);
+    ranked
+}
+
 /// Renders a served [`Response`]'s meta + payload as the *fields* of a
 /// response object (no surrounding braces): both dialects share this —
 /// the v1 line wraps it in `{}`, the v2 `result` frame prefixes the
@@ -963,11 +987,8 @@ pub fn response_fields(
             );
             let top = top.unwrap_or(5);
             if top > 0 {
-                let mut ranked: Vec<usize> = (0..sweep.len()).collect();
-                ranked
-                    .sort_by(|&a, &b| sweep.p_sensitized()[b].total_cmp(&sweep.p_sensitized()[a]));
                 out.push_str(", \"top\": [");
-                for (i, &pos) in ranked.iter().take(top).enumerate() {
+                for (i, pos) in top_k(sweep.p_sensitized(), top).into_iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
@@ -1596,7 +1617,7 @@ impl ProtocolEngine {
                     "{}, \"op\": \"stats\", \"session_hits\": {}, \"session_misses\": {}, \
                      \"evictions\": {}, \"sessions_cached\": {}, \"sweep_cache_hits\": {}, \
                      \"sweep_cache_misses\": {}, \"sweep_responses_cached\": {}, \
-                     \"requests_cancelled\": {}, \"idle_reaped\": {}}}",
+                     \"site_cache_hits\": {}, \"requests_cancelled\": {}, \"idle_reaped\": {}}}",
                     frame_head("result", id),
                     s.session_hits,
                     s.session_misses,
@@ -1605,6 +1626,7 @@ impl ProtocolEngine {
                     s.sweep_cache_hits,
                     s.sweep_cache_misses,
                     s.sweep_responses_cached,
+                    s.site_cache_hits,
                     s.requests_cancelled,
                     s.idle_reaped
                 ))?;
@@ -2178,9 +2200,20 @@ impl ProtocolEngine {
         if let Some(c) = lock_clean(&self.circuits).get(path) {
             return Ok(c);
         }
-        let text = std::fs::read_to_string(path).map_err(|e| {
+        let cannot_read = |e: &dyn std::fmt::Display| {
             WireError::new(ErrorCode::NotFound, format!("cannot read `{path}`: {e}"))
-        })?;
+        };
+        let mut bytes = Vec::new();
+        std::fs::File::open(path)
+            .and_then(|f| f.take(MAX_NETLIST_BYTES + 1).read_to_end(&mut bytes))
+            .map_err(|e| cannot_read(&e))?;
+        if bytes.len() as u64 > MAX_NETLIST_BYTES {
+            return Err(WireError::new(
+                ErrorCode::CapExceeded,
+                format!("`{path}` exceeds the {MAX_NETLIST_BYTES}-byte netlist cap"),
+            ));
+        }
+        let text = String::from_utf8(bytes).map_err(|e| cannot_read(&e))?;
         let stem = std::path::Path::new(path)
             .file_stem()
             .and_then(|s| s.to_str())
@@ -2360,5 +2393,41 @@ fn classify_request_error(message: String) -> WireError {
         WireError::new(ErrorCode::NotFound, message)
     } else {
         WireError::new(ErrorCode::BadRequest, message)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::top_k;
+
+    /// The reference: a stable descending sort of every position.
+    fn sorted_prefix(values: &[f64], k: usize) -> Vec<usize> {
+        let mut ranked: Vec<usize> = (0..values.len()).collect();
+        ranked.sort_by(|&a, &b| values[b].total_cmp(&values[a]));
+        ranked.truncate(k);
+        ranked
+    }
+
+    #[test]
+    fn top_k_is_the_stable_sorts_prefix() {
+        let cases: [&[f64]; 5] = [
+            &[],
+            &[0.5; 9],
+            // Ties straddle every small k.
+            &[0.1, 0.9, 0.5, 0.9, 0.5, 0.5, 0.0, 0.9, 0.5],
+            &[0.3, -0.0, 0.0, f64::NAN, 1.0, 0.3, f64::INFINITY],
+            &[0.25, 0.75, 0.5],
+        ];
+        for values in cases {
+            for k in 0..=values.len() + 2 {
+                assert_eq!(
+                    top_k(values, k),
+                    sorted_prefix(values, k),
+                    "k = {k} of {values:?}"
+                );
+            }
+        }
+        // A client's `top` sizes nothing: k far past n is just n.
+        assert_eq!(top_k(&[0.2, 0.4], usize::MAX), vec![1, 0]);
     }
 }

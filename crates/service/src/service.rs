@@ -125,6 +125,10 @@ pub struct ServiceStats {
     pub sweep_cache_misses: u64,
     /// Sweep responses currently cached.
     pub sweep_responses_cached: usize,
+    /// `site` requests answered from a current cached whole-circuit
+    /// sweep (no executor job, no kernel). These lookups never count
+    /// as sweep-cache hits or misses.
+    pub site_cache_hits: u64,
     /// Session compiles whose cone plans were loaded from the
     /// persistent artifact cache (plan compilation skipped).
     pub plan_cache_hits: u64,
@@ -282,6 +286,7 @@ pub struct SerService {
     evictions: AtomicU64,
     sweep_hits: AtomicU64,
     sweep_misses: AtomicU64,
+    site_hits: AtomicU64,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     plan_evictions: AtomicU64,
@@ -431,6 +436,7 @@ impl SerService {
             evictions: AtomicU64::new(0),
             sweep_hits: AtomicU64::new(0),
             sweep_misses: AtomicU64::new(0),
+            site_hits: AtomicU64::new(0),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
             plan_evictions: AtomicU64::new(0),
@@ -462,6 +468,7 @@ impl SerService {
             sweep_cache_hits: self.sweep_hits.load(Ordering::Relaxed),
             sweep_cache_misses: self.sweep_misses.load(Ordering::Relaxed),
             sweep_responses_cached: lock_clean(&self.sweep_cache).entries.len(),
+            site_cache_hits: self.site_hits.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_misses.load(Ordering::Relaxed),
             plan_cache_evictions: self.plan_evictions.load(Ordering::Relaxed),
@@ -1105,30 +1112,49 @@ impl SerService {
         let (session, warm) = self.session_cancellable(circuit, cancel.as_ref())?;
 
         // Whole-circuit sweeps are a pure function of the netlist, the
-        // SP vector and the polarity — serve repeats straight from the
-        // response cache, enqueueing nothing.
+        // SP vector and the polarity — serve repeats (and the sites they
+        // cover) straight from the response cache, enqueueing nothing.
         let mut cache_key = None;
-        if let Request::Sweep(req) = &request {
-            if req.sites.is_none() && self.config.max_sweep_responses > 0 {
+        let hit = match &request {
+            Request::Sweep(req) if req.sites.is_none() && self.config.max_sweep_responses > 0 => {
                 let key = (circuit.structural_hash(), req.polarity);
                 let sp = Arc::clone(session.signal_probabilities_arc());
-                if let Some(results) = self.sweep_cache_get(&key, &sp) {
+                let results = self.sweep_cache_get(&key, &sp);
+                if results.is_some() {
                     self.sweep_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Prepared {
-                        session,
-                        warm,
-                        started,
-                        parts: 0,
-                        request,
-                        cached: Some(ResponsePayload::Sweep(results)),
-                        cache_key: None,
-                        progress: None,
-                        sweep_sites_total: 0,
-                    });
+                } else {
+                    self.sweep_misses.fetch_add(1, Ordering::Relaxed);
+                    cache_key = Some((key, sp));
                 }
-                self.sweep_misses.fetch_add(1, Ordering::Relaxed);
-                cache_key = Some((key, sp));
+                results.map(ResponsePayload::Sweep)
             }
+            // A site's EPP is the same bits in the plan sweep as in the
+            // per-site kernel, so a current tracked-polarity sweep
+            // answers it: no executor hop, no kernel.
+            Request::Site(SiteRequest { site }) if self.config.max_sweep_responses > 0 => {
+                let key = (circuit.structural_hash(), PolarityMode::Tracked);
+                let epp = self
+                    .sweep_cache_get(&key, session.signal_probabilities_arc())
+                    .and_then(|results| results.try_site(*site).map(|r| r.to_site_epp()));
+                if epp.is_some() {
+                    self.site_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                epp.map(ResponsePayload::Site)
+            }
+            _ => None,
+        };
+        if let Some(payload) = hit {
+            return Ok(Prepared {
+                session,
+                warm,
+                started,
+                parts: 0,
+                request,
+                cached: Some(payload),
+                cache_key: None,
+                progress: None,
+                sweep_sites_total: 0,
+            });
         }
 
         let mut sweep_sites_total = 0;

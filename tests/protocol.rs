@@ -328,6 +328,35 @@ fn v1_lines_are_served_in_the_v1_response_shape() {
     let _ = std::fs::remove_file(&netlist);
 }
 
+/// A netlist read stops at `MAX_NETLIST_BYTES`: an endless file is
+/// answered `cap_exceeded`, and nothing is compiled or cached.
+#[cfg(unix)]
+#[test]
+fn endless_netlist_is_refused_at_the_byte_cap() {
+    let engine = engine();
+    let site = r#"{"v": 2, "op": "site", "netlist": "/dev/zero", "node": "y"}"#;
+    let replies = run_lines(
+        &engine,
+        vec![
+            site.to_owned(),
+            site.to_owned(),
+            r#"{"v": 2, "op": "stats"}"#.to_owned(),
+        ],
+    );
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    for line in &replies[..2] {
+        assert_eq!(error_code(line).as_deref(), Some("cap_exceeded"), "{line}");
+    }
+    let stats = json::parse_value(&replies[2]).unwrap();
+    for key in ["session_hits", "session_misses", "sessions_cached"] {
+        assert_eq!(
+            stats.get(key).and_then(JsonValue::as_count),
+            Some(0),
+            "{key}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // v2 end to end through an in-memory connection
 // ---------------------------------------------------------------------

@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 
-use ser_suite::epp::{AnalysisSession, Edit, PolarityMode};
-use ser_suite::gen::{c17, iscas89_like, ripple_carry_adder};
-use ser_suite::netlist::Circuit;
+use ser_suite::epp::{AnalysisSession, Edit, PolarityMode, SiteEpp};
+use ser_suite::gen::{c17, iscas89_like, profile, ripple_carry_adder, synthesize};
+use ser_suite::netlist::{Circuit, NodeId};
 use ser_suite::service::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, ResponsePayload,
     SerService, SerServiceConfig, ServiceError, SiteRequest, SweepRequest,
@@ -381,6 +381,95 @@ fn sweep_response_cache_hits_and_invalidates() {
         .unwrap();
     assert_eq!(service.stats().sweep_cache_hits, 2);
     assert_eq!(r4.as_sweep().unwrap(), r3.as_sweep().unwrap());
+}
+
+/// Bitwise equality of two per-site results: `p_sensitized`, the
+/// on-path gate count and every observe point's four-value tuple.
+fn assert_site_bits(got: &SiteEpp, want: &SiteEpp) {
+    assert_eq!(got.site(), want.site());
+    assert_eq!(got.p_sensitized().to_bits(), want.p_sensitized().to_bits());
+    assert_eq!(got.on_path_gates(), want.on_path_gates());
+    let bits = |s: &SiteEpp| -> Vec<_> {
+        s.per_point()
+            .iter()
+            .map(|p| {
+                let v = p.value;
+                (
+                    p.point,
+                    [v.pa(), v.pa_bar(), v.p0(), v.p1()].map(f64::to_bits),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(bits(got), bits(want), "site {}", got.site());
+}
+
+/// A `site` is answered from the sweep-response cache only when a
+/// *current*, whole-circuit, tracked-polarity sweep is there: the
+/// answer carries the per-site kernel's bits, `set_inputs` retires it,
+/// and neither a subset nor a merged sweep ever answers one. Cached
+/// site answers never count as sweep-cache hits or misses.
+#[test]
+fn site_is_answered_only_from_a_current_tracked_whole_sweep() {
+    let circuit = arc(synthesize(&profile("s1423").unwrap(), 1));
+    let service = SerService::new(SerServiceConfig {
+        threads: 2,
+        ..SerServiceConfig::default()
+    });
+    let site = |node: NodeId| match service
+        .submit(&circuit, Request::Site(SiteRequest { site: node }))
+        .unwrap()
+        .payload
+    {
+        ResponsePayload::Site(epp) => epp,
+        _ => panic!("site payload expected"),
+    };
+    let sweep = |sites: Option<Vec<NodeId>>, polarity| {
+        service
+            .submit(&circuit, Request::Sweep(SweepRequest { sites, polarity }))
+            .unwrap()
+    };
+    let nodes: Vec<NodeId> = circuit.node_ids().collect();
+    let reference = AnalysisSession::new(Arc::clone(&circuit)).unwrap();
+
+    // A merged whole sweep and an all-sites subset sweep are no answer.
+    let _ = sweep(None, PolarityMode::Merged);
+    let _ = sweep(Some(nodes.clone()), PolarityMode::Tracked);
+    for &node in nodes.iter().step_by(37) {
+        assert_site_bits(&site(node), &reference.site(node));
+    }
+    assert_eq!(service.stats().site_cache_hits, 0);
+
+    // A tracked whole sweep answers every site, with the kernel's bits.
+    let _ = sweep(None, PolarityMode::Tracked);
+    let before = service.stats();
+    let stale: Vec<SiteEpp> = nodes.iter().map(|&node| site(node)).collect();
+    for (got, &node) in stale.iter().zip(&nodes) {
+        assert_site_bits(got, &reference.site(node));
+    }
+    let after = service.stats();
+    assert_eq!(after.site_cache_hits, nodes.len() as u64);
+    assert_eq!(after.sweep_cache_hits, before.sweep_cache_hits);
+    assert_eq!(after.sweep_cache_misses, before.sweep_cache_misses);
+
+    // New inputs: the old arena must not answer, before or after the
+    // next sweep re-fills the cache.
+    let inputs = InputProbs::uniform(0.7);
+    service.set_inputs(&circuit, inputs.clone()).unwrap();
+    let fresh = AnalysisSession::with_inputs(Arc::clone(&circuit), inputs).unwrap();
+    let mut moved = 0;
+    for (old, &node) in stale.iter().zip(&nodes).step_by(7) {
+        let got = site(node);
+        assert_site_bits(&got, &fresh.site(node));
+        moved += usize::from(got.p_sensitized() != old.p_sensitized());
+    }
+    assert!(moved > 0, "the new inputs change some site");
+    assert_eq!(service.stats().site_cache_hits, nodes.len() as u64);
+    let _ = sweep(None, PolarityMode::Tracked);
+    for &node in nodes.iter().step_by(7) {
+        assert_site_bits(&site(node), &fresh.site(node));
+    }
+    assert!(service.stats().site_cache_hits > nodes.len() as u64);
 }
 
 /// LRU eviction must not silently revert `set_inputs`: the service
