@@ -349,7 +349,7 @@ impl AnalysisSession {
     /// Panics if `threads` is 0.
     #[must_use]
     pub fn all_sites(&self, threads: usize) -> Vec<SiteEpp> {
-        self.epp().all_sites_parallel_with_pool(threads, &self.pool)
+        self.sweep(threads).to_site_epps()
     }
 
     /// The batched whole-circuit sweep over the session's cached cone

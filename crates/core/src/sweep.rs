@@ -20,7 +20,9 @@
 //! - **Scheduler**: an atomic-cursor work queue over cone-cost-balanced
 //!   batches; workers claim the next batch when they finish their
 //!   current one, so wildly varying cone sizes no longer leave threads
-//!   idle the way the old static `n / threads` split did.
+//!   idle the way the old static `n / threads` split did. Each batch
+//!   writes its arrivals in place into its own range of one
+//!   exactly-sized arena; nothing is stitched after the join.
 //!
 //! Results land in a [`SweepResults`] arena — one shared `Vec` of
 //! per-point arrivals with per-site ranges — so the steady-state sweep
@@ -28,9 +30,10 @@
 //! path is retained and the batched engine is bit-for-bit identical to
 //! it (asserted by `tests/sweep_equivalence.rs`).
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ser_netlist::{ConePlans, FaninRef, NodeId, ObservePoint};
 use ser_sp::SpVector;
@@ -603,15 +606,51 @@ impl SweepScratch {
     }
 }
 
-/// One worker's output for one claimed batch: results for the
-/// contiguous site range starting at `start`, stitched back in
-/// position order after the join.
-struct Segment {
-    start: usize,
-    p_sens: Vec<f64>,
-    gates: Vec<u32>,
-    point_counts: Vec<u32>,
-    points: Vec<PointEpp>,
+/// One batch's disjoint share of the sweep's outputs, for its
+/// contiguous run of `sites`.
+struct BatchOut<'a> {
+    sites: &'a [NodeId],
+    p_sens: &'a mut [f64],
+    gates: &'a mut [u32],
+    /// Per-site point counts, prefix-summed into offsets after the join.
+    counts: &'a mut [u32],
+    points: BatchPoints<'a>,
+}
+
+/// Where one batch's per-point arrivals land.
+enum BatchPoints<'a> {
+    /// Planned: the batch's range of the arena; `slots[..filled]` is written.
+    Arena {
+        slots: &'a mut [MaybeUninit<PointEpp>],
+        filled: usize,
+    },
+    /// Planless: counts are unknown up front, so the batch appends here.
+    Buffer(Vec<PointEpp>),
+}
+
+/// Cuts `costs.len()` sites into contiguous, non-empty position ranges
+/// of roughly equal total cost — about `threads * BATCHES_PER_THREAD`
+/// of them, oversubscribed so fast workers steal the tail. Every range
+/// but the last carries at least `ceil(total / that)` cost, so there
+/// are at most `threads * BATCHES_PER_THREAD + 1`.
+fn cost_batches(costs: &[usize], threads: usize) -> Vec<Range<usize>> {
+    let total: usize = costs.iter().sum();
+    let target = total.div_ceil(threads * BATCHES_PER_THREAD).max(1);
+    let mut batches = Vec::new();
+    let mut start = 0usize;
+    let mut acc = 0usize;
+    for (pos, &c) in costs.iter().enumerate() {
+        acc += c;
+        if acc >= target {
+            batches.push(start..pos + 1);
+            start = pos + 1;
+            acc = 0;
+        }
+    }
+    if start < costs.len() {
+        batches.push(start..costs.len());
+    }
+    batches
 }
 
 impl EppAnalysis {
@@ -737,129 +776,118 @@ impl EppAnalysis {
         plans: Option<&ConePlans>,
         backend: KernelBackend,
     ) -> SweepResults {
-        let dense = sites.iter().enumerate().all(|(i, s)| s.index() == i);
-        let total_points: usize =
-            plans.map_or(0, |p| sites.iter().map(|&s| p.plan(s).observe_len()).sum());
-
-        let mut results = SweepResults {
-            sites: sites.to_vec(),
-            dense,
-            p_sensitized: Vec::with_capacity(sites.len()),
-            on_path_gates: Vec::with_capacity(sites.len()),
-            point_off: Vec::with_capacity(sites.len() + 1),
-            points: Vec::with_capacity(total_points),
-            threads_used: 1,
+        let n = sites.len();
+        let batches: Vec<_> = if threads == 1 || n < SINGLE_THREAD_SWEEP_THRESHOLD {
+            std::iter::once(0..n).collect()
+        } else {
+            let costs: Vec<usize> = match plans {
+                Some(p) => sites.iter().map(|&s| p.plan(s).cost()).collect(),
+                None => vec![1; n],
+            };
+            cost_batches(&costs, threads)
         };
-        results.point_off.push(0);
+        // With plans, every site's point count is known up front.
+        let observe_len =
+            |s: &[NodeId]| plans.map(|p| s.iter().map(|&s| p.plan(s).observe_len()).sum());
+        let total_points = observe_len(sites).unwrap_or(0);
+        let mut p_sensitized = vec![0.0; n];
+        let mut on_path_gates = vec![0u32; n];
+        let mut point_off = vec![0u32; n + 1];
+        let mut points: Vec<PointEpp> = Vec::with_capacity(total_points);
 
-        if threads == 1 || sites.len() < SINGLE_THREAD_SWEEP_THRESHOLD {
+        // Cut every output along the batch boundaries. The cursor hands
+        // each batch's region to one worker, so no lock is contended.
+        let (mut p_sens, mut gates) = (&mut p_sensitized[..], &mut on_path_gates[..]);
+        let mut counts = &mut point_off[1..];
+        let mut slots = &mut points.spare_capacity_mut()[..total_points];
+        let partition = "batches partition the sites";
+        let regions: Vec<Mutex<BatchOut<'_>>> = batches
+            .iter()
+            .map(|r| {
+                Mutex::new(BatchOut {
+                    sites: &sites[r.clone()],
+                    p_sens: p_sens.split_off_mut(..r.len()).expect(partition),
+                    gates: gates.split_off_mut(..r.len()).expect(partition),
+                    counts: counts.split_off_mut(..r.len()).expect(partition),
+                    points: match observe_len(&sites[r.clone()]) {
+                        Some(len) => BatchPoints::Arena {
+                            slots: slots.split_off_mut(..len).expect(partition),
+                            filled: 0,
+                        },
+                        None => BatchPoints::Buffer(Vec::new()),
+                    },
+                })
+            })
+            .collect();
+        assert!(slots.is_empty(), "batch ranges cover the whole arena");
+
+        let cursor = AtomicUsize::new(0);
+        let work = || {
             let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
-            for &site in sites {
-                let (p_sens, gates, n_points) = self.site_kernel(
-                    plans,
-                    site,
-                    polarity,
-                    &mut scratch,
-                    &mut results.points,
-                    backend,
-                );
-                results.p_sensitized.push(p_sens);
-                results.on_path_gates.push(gates);
-                let last = *results.point_off.last().expect("non-empty offsets");
-                results.point_off.push(last + n_points);
+            while let Some(region) = regions.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let out = &mut *region.lock().expect("region lock poisoned");
+                for (k, &site) in out.sites.iter().enumerate() {
+                    (out.p_sens[k], out.gates[k], out.counts[k]) = self.site_kernel(
+                        plans,
+                        site,
+                        polarity,
+                        &mut scratch,
+                        &mut out.points,
+                        backend,
+                    );
+                }
             }
             scratch.give_back(pool);
-            return results;
-        }
-
-        // --- Batch construction: contiguous position ranges balanced by
-        // cone cost (uniform when no plans exist), oversubscribed so
-        // fast workers steal the tail. --------------------------------
-        let costs: Vec<usize> = match plans {
-            Some(p) => sites.iter().map(|&s| p.plan(s).cost()).collect(),
-            None => vec![1; sites.len()],
         };
-        let total_cost: usize = costs.iter().sum();
-        let target = (total_cost / (threads * BATCHES_PER_THREAD)).max(1);
-        let mut batches: Vec<Range<usize>> = Vec::new();
-        let mut start = 0usize;
-        let mut acc = 0usize;
-        for (pos, &c) in costs.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                batches.push(start..pos + 1);
-                start = pos + 1;
-                acc = 0;
-            }
-        }
-        if start < sites.len() {
-            batches.push(start..sites.len());
+        let workers = threads.min(batches.len()).max(1);
+        if workers == 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(work);
+                }
+            });
         }
 
-        let workers = threads.min(batches.len());
-        results.threads_used = workers;
-        let cursor = AtomicUsize::new(0);
-        let mut segments: Vec<Segment> = Vec::with_capacity(batches.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let batches = &batches;
-                    let this = &*self;
-                    scope.spawn(move || {
-                        let mut scratch = SweepScratch::checkout(this, pool, plans.is_some());
-                        let mut segs: Vec<Segment> = Vec::new();
-                        loop {
-                            let b = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = batches.get(b).cloned() else {
-                                break;
-                            };
-                            let mut seg = Segment {
-                                start: range.start,
-                                p_sens: Vec::with_capacity(range.len()),
-                                gates: Vec::with_capacity(range.len()),
-                                point_counts: Vec::with_capacity(range.len()),
-                                points: Vec::new(),
-                            };
-                            for pos in range {
-                                let (p_sens, gates, n_points) = this.site_kernel(
-                                    plans,
-                                    sites[pos],
-                                    polarity,
-                                    &mut scratch,
-                                    &mut seg.points,
-                                    backend,
-                                );
-                                seg.p_sens.push(p_sens);
-                                seg.gates.push(gates);
-                                seg.point_counts.push(n_points);
-                            }
-                            segs.push(seg);
-                        }
-                        scratch.give_back(pool);
-                        segs
-                    })
-                })
-                .collect();
-            for h in handles {
-                segments.extend(h.join().expect("sweep worker panicked"));
+        let mut buffers = Vec::new();
+        for region in regions {
+            match region.into_inner().expect("region lock poisoned").points {
+                BatchPoints::Arena { slots, filled } => {
+                    assert_eq!(filled, slots.len(), "arena range must be filled exactly");
+                }
+                BatchPoints::Buffer(buf) => buffers.push(buf),
             }
-        });
-
-        // Stitch segments back in position order: batches partition the
-        // site list contiguously, so concatenation restores it exactly.
-        segments.sort_unstable_by_key(|s| s.start);
-        for seg in segments {
-            debug_assert_eq!(seg.start, results.p_sensitized.len(), "contiguous stitch");
-            results.p_sensitized.extend_from_slice(&seg.p_sens);
-            results.on_path_gates.extend_from_slice(&seg.gates);
-            for c in seg.point_counts {
-                let last = *results.point_off.last().expect("non-empty offsets");
-                results.point_off.push(last + c);
-            }
-            results.points.extend_from_slice(&seg.points);
         }
-        results
+        // SAFETY: the arena ranges were cut front to back from `points`'
+        // spare capacity and cover `[0, total_points)` (asserted at the
+        // cut); `site_kernel` writes each range front to back, advancing
+        // `filled` by exactly the slots it initialized, and every range
+        // was seen filled to its length above. A worker panic re-raises
+        // out of `scope` first, so no unwritten slot is ever exposed.
+        unsafe { points.set_len(total_points) };
+        // Planless: stitch in batch order; a lone batch's buffer moves in.
+        if plans.is_none() {
+            points = match buffers.len() {
+                1 => buffers.swap_remove(0),
+                _ => buffers.concat(),
+            };
+        }
+        let mut last = 0u32;
+        for off in &mut point_off[1..] {
+            last += *off;
+            *off = last;
+        }
+
+        SweepResults {
+            sites: sites.to_vec(),
+            dense: sites.iter().enumerate().all(|(i, s)| s.index() == i),
+            p_sensitized,
+            on_path_gates,
+            point_off,
+            points,
+            threads_used: workers,
+        }
     }
 
     /// Dispatches one site to the plan-driven kernel (on the sweep's
@@ -872,42 +900,47 @@ impl EppAnalysis {
         site: NodeId,
         polarity: PolarityMode,
         scratch: &mut SweepScratch,
-        points_out: &mut Vec<PointEpp>,
+        points: &mut BatchPoints<'_>,
         backend: KernelBackend,
     ) -> (f64, u32, u32) {
-        match (plans, scratch) {
-            (Some(plans), SweepScratch::Plan(ws)) => match backend {
-                KernelBackend::Scalar => {
-                    self.plan_kernel::<ScalarVec>(plans, site, polarity, ws, points_out)
-                }
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: `backend` went through `sanitized()` at sweep
-                // entry, so `Avx2` implies
-                // `is_x86_feature_detected!("avx2")` held on this host.
-                KernelBackend::Avx2 => unsafe {
-                    self.plan_kernel_avx2(plans, site, polarity, ws, points_out)
-                },
-                #[cfg(not(target_arch = "x86_64"))]
-                KernelBackend::Avx2 => {
-                    unreachable!("sanitized backends exclude AVX2 off x86-64")
-                }
-            },
-            (None, SweepScratch::Reference(ws)) => {
+        match (plans, scratch, points) {
+            (Some(plans), SweepScratch::Plan(ws), BatchPoints::Arena { slots, filled }) => {
+                let out = &mut slots[*filled..];
+                let r = match backend {
+                    KernelBackend::Scalar => {
+                        self.plan_kernel::<ScalarVec>(plans, site, polarity, ws, out)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `backend` went through `sanitized()` at sweep
+                    // entry, so `Avx2` implies
+                    // `is_x86_feature_detected!("avx2")` held on this host.
+                    KernelBackend::Avx2 => unsafe {
+                        self.plan_kernel_avx2(plans, site, polarity, ws, out)
+                    },
+                    #[cfg(not(target_arch = "x86_64"))]
+                    KernelBackend::Avx2 => {
+                        unreachable!("sanitized backends exclude AVX2 off x86-64")
+                    }
+                };
+                *filled += r.2 as usize;
+                r
+            }
+            (None, SweepScratch::Reference(ws), BatchPoints::Buffer(buf)) => {
                 let r = self.site_with_workspace(site, polarity, ws);
                 let n_points = u32::try_from(r.per_point().len()).expect("points fit u32");
-                points_out.extend_from_slice(r.per_point());
+                buf.extend_from_slice(r.per_point());
                 let gates = u32::try_from(r.on_path_gates()).expect("cone fits u32");
                 (r.p_sensitized(), gates, n_points)
             }
-            _ => unreachable!("scratch kind always matches plan availability"),
+            _ => unreachable!("scratch and point sink always match plan availability"),
         }
     }
 
     /// The allocation-free plan-driven kernel for one site: evaluates
     /// the suffix-shared cone — the chain path, then the shared tail —
-    /// over the 4-wide lane planes, appends the per-point arrivals to
-    /// `points_out`, and returns
-    /// `(p_sensitized, on-path gates, points appended)`.
+    /// over the 4-wide lane planes, writes the `n` per-point arrivals
+    /// to `points_out[..n]` (panicking if it is shorter), and returns
+    /// `(p_sensitized, on-path gates, n)`.
     ///
     /// **Path members** (cone positions `1..=prefix_len`) carry no
     /// packed refs at all: a chain node's only possible on-path fanin
@@ -943,7 +976,7 @@ impl EppAnalysis {
         site: NodeId,
         polarity: PolarityMode,
         ws: &mut SweepWorkspace,
-        points_out: &mut Vec<PointEpp>,
+        points_out: &mut [MaybeUninit<PointEpp>],
     ) -> (f64, u32, u32) {
         let plan = plans.plan(site);
         let l = plan.prefix_len();
@@ -1079,35 +1112,35 @@ impl EppAnalysis {
             pos_stamp[q as usize] = epoch | (l + k) as u64;
         }
 
-        // Emit points in observe order: merge the sorted path observes
-        // with the tail's (indices are unique per site, so the merge
-        // is a strict interleave — the reference emission order).
+        // Emit points in observe order straight into `points_out`:
+        // merge the sorted path observes with the tail's (indices are
+        // unique per site, so the merge is a strict interleave — the
+        // reference emission order), folding sensitization as we go.
         path_obs.sort_unstable();
         let tobs = tail.observe_refs();
         let observe: &[ObservePoint] = self.artifacts().observe_points();
-        let first = points_out.len();
         let l32 = u32::try_from(l).expect("cone fits u32");
-        let (mut i, mut j) = (0, 0);
-        while i < path_obs.len() || j < tobs.len() {
+        let (mut i, mut j, mut written) = (0, 0, 0);
+        let out = &mut points_out[..path_obs.len() + tobs.len()];
+        let p_sensitized = combine_sensitization(out.iter_mut().map(|slot| {
             let take_path = j >= tobs.len() || (i < path_obs.len() && path_obs[i].0 < tobs[j].0);
             let (obs, local) = if take_path {
-                let r = path_obs[i];
                 i += 1;
-                r
+                path_obs[i - 1]
             } else {
-                let r = (tobs[j].0, tobs[j].1 + l32);
                 j += 1;
-                r
+                (tobs[j - 1].0, tobs[j - 1].1 + l32)
             };
-            points_out.push(PointEpp {
+            written += 1;
+            let value = FourValue::from_lanes(lanes[local as usize].0);
+            slot.write(PointEpp {
                 point: observe[obs as usize],
-                value: FourValue::from_lanes(lanes[local as usize].0),
-            });
-        }
-        let p_sensitized =
-            combine_sensitization(points_out[first..].iter().map(PointEpp::p_arrival));
+                value,
+            })
+            .p_arrival()
+        }));
         let gates = u32::try_from(len - 1).expect("cone fits u32");
-        let n_points = u32::try_from(points_out.len() - first).expect("points fit u32");
+        let n_points = u32::try_from(written).expect("points fit u32");
         (p_sensitized, gates, n_points)
     }
 
@@ -1128,7 +1161,7 @@ impl EppAnalysis {
         site: NodeId,
         polarity: PolarityMode,
         ws: &mut SweepWorkspace,
-        points_out: &mut Vec<PointEpp>,
+        points_out: &mut [MaybeUninit<PointEpp>],
     ) -> (f64, u32, u32) {
         self.plan_kernel::<AvxVec>(plans, site, polarity, ws, points_out)
     }
@@ -1355,6 +1388,53 @@ H = OR(C, D, G)
         assert_eq!(sweep.site(b).p_sensitized(), 1.0);
         assert_eq!(sweep.site(b).arrival_at(b).unwrap().pa(), 1.0);
         assert_eq!(sweep.total_points(), 1, "only b's own arrival is stored");
+    }
+
+    /// Asserts the batch-cut contract: the ranges partition `0..n`
+    /// contiguously, none is empty, and there are at most
+    /// `threads * BATCHES_PER_THREAD + 1`.
+    fn checked_batches(costs: &[usize], threads: usize) -> Vec<Range<usize>> {
+        let batches = cost_batches(costs, threads);
+        let mut next = 0;
+        for r in &batches {
+            assert_eq!(r.start, next, "contiguous: {batches:?}");
+            assert!(!r.is_empty(), "non-empty: {batches:?}");
+            next = r.end;
+        }
+        assert_eq!(next, costs.len(), "covers every site: {batches:?}");
+        assert!(
+            batches.len() <= threads * BATCHES_PER_THREAD + 1,
+            "{} batches for {threads} threads",
+            batches.len()
+        );
+        batches
+    }
+
+    #[test]
+    fn cost_batches_partition_the_sites() {
+        assert!(checked_batches(&[], 4).is_empty());
+        assert_eq!(checked_batches(&[0; 100], 4), vec![0..100], "all-zero");
+        assert_eq!(checked_batches(&[7], 4), vec![0..1], "one site");
+        assert_eq!(
+            checked_batches(&[3, 1, 2], 8),
+            vec![0..1, 1..2, 2..3],
+            "fewer sites than threads"
+        );
+        let mut skewed = vec![1; 200];
+        skewed[50] = 1_000_000;
+        assert_eq!(
+            checked_batches(&skewed, 4),
+            vec![0..51, 51..200],
+            "one site holds nearly all the cost"
+        );
+        // Totals that do not divide evenly must not overshoot the count.
+        for n in [1, 63, 64, 100, 1000, 4097] {
+            for threads in 1..=9 {
+                checked_batches(&vec![1; n], threads);
+                let falling: Vec<usize> = (1..=n).rev().collect();
+                checked_batches(&falling, threads);
+            }
+        }
     }
 
     #[test]

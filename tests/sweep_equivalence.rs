@@ -10,7 +10,7 @@ use ser_suite::epp::{
     EppAnalysis, KernelBackend, PolarityMode, SiteWorkspace, SweepResults, WorkspacePool,
 };
 use ser_suite::gen::RandomDag;
-use ser_suite::netlist::Circuit;
+use ser_suite::netlist::{Circuit, NodeId};
 use ser_suite::sp::{IndependentSp, InputProbs, SpEngine};
 
 fn dag_strategy() -> impl Strategy<Value = (usize, usize, f64, f64, u64)> {
@@ -164,6 +164,109 @@ fn denormal_and_clamp_edge_inputs_backend_invariant() {
     }
 }
 
+/// Sweeps `sites` at 1, 2, 3 and 7 threads and asserts every run
+/// builds the same arena; then checks the 1-thread arena against the
+/// per-site reference, position by position. Returns the 7-thread run.
+fn assert_threads_agree(
+    analysis: &EppAnalysis,
+    sites: &[NodeId],
+    polarity: PolarityMode,
+    pool: &WorkspacePool,
+) -> SweepResults {
+    let single = analysis.sweep_sites_with(sites, polarity, 1, pool);
+    let mut multi = single.clone();
+    for threads in [2usize, 3, 7] {
+        multi = analysis.sweep_sites_with(sites, polarity, threads, pool);
+        assert_eq!(multi, single, "{threads} threads ({polarity:?})");
+        assert_eq!(multi.total_points(), single.total_points());
+    }
+    assert_eq!(single.sites(), sites);
+    let mut ws = SiteWorkspace::new(analysis);
+    for (pos, &site) in sites.iter().enumerate() {
+        let reference = analysis.site_with_workspace(site, polarity, &mut ws);
+        assert_eq!(single.get(pos).to_site_epp(), reference, "site {site}");
+    }
+    multi
+}
+
+/// The in-place arena writer: workers fill disjoint ranges of one
+/// exactly-sized arena, and the result must not depend on how many of
+/// them there were — whole circuit, non-dense subsets with repeats,
+/// merged polarity, fewer batches than threads, no sites at all, and
+/// the planless fallback.
+#[test]
+fn in_place_arena_is_thread_count_invariant() {
+    use ser_suite::gen::{profile, synthesize};
+    use ser_suite::netlist::parse_bench;
+    let pool = WorkspacePool::new();
+    let c = synthesize(&profile("s1423").unwrap(), 1);
+    let sp = IndependentSp::new()
+        .compute(&c, &InputProbs::default())
+        .unwrap();
+    let analysis = EppAnalysis::new(&c, sp).unwrap();
+    let all: Vec<NodeId> = c.node_ids().collect();
+
+    let whole = assert_threads_agree(&analysis, &all, PolarityMode::Tracked, &pool);
+    assert_eq!(whole, analysis.sweep(1, &pool));
+    assert_eq!(whole.threads_used(), 7);
+
+    // Every third node, shuffled by a prime stride, one site repeated.
+    let third: Vec<NodeId> = all.iter().copied().step_by(3).collect();
+    let mut subset: Vec<NodeId> = (0..third.len())
+        .map(|i| third[(i * 7919) % third.len()])
+        .collect();
+    subset.push(subset[subset.len() / 2]);
+    assert!(subset.len() >= 64);
+    assert_threads_agree(&analysis, &subset, PolarityMode::Tracked, &pool);
+    assert_threads_agree(&analysis, &all, PolarityMode::Merged, &pool);
+
+    let empty = assert_threads_agree(&analysis, &[], PolarityMode::Tracked, &pool);
+    assert!(empty.is_empty());
+    assert_eq!(empty.total_points(), 0);
+
+    // Planless: per-batch buffers stitched in batch order.
+    let unplanned = analysis.sweep_sites_unplanned(&subset, PolarityMode::Tracked, 2, &pool);
+    assert_eq!(unplanned.threads_used(), 2);
+    assert_eq!(
+        unplanned,
+        analysis.sweep_sites_with(&subset, PolarityMode::Tracked, 1, &pool)
+    );
+    assert_eq!(
+        unplanned,
+        analysis.sweep_sites_unplanned(&subset, PolarityMode::Tracked, 1, &pool)
+    );
+
+    // One deep cone ahead of 70 trivial ones: the deep site fills a
+    // batch by itself and the rest share one, so 7 threads get 2
+    // batches.
+    let stages = 4000;
+    let mut src = String::from("INPUT(x0)\n");
+    for i in 0..stages {
+        src.push_str(&format!("INPUT(s{i})\n"));
+    }
+    src.push_str(&format!("OUTPUT(g{})\n", stages - 1));
+    for i in 0..stages {
+        let prev = if i == 0 {
+            "x0".to_owned()
+        } else {
+            format!("g{}", i - 1)
+        };
+        src.push_str(&format!("g{i} = AND({prev}, s{i})\n"));
+    }
+    let chain = parse_bench(&src, "chain").unwrap();
+    let sp = IndependentSp::new()
+        .compute(&chain, &InputProbs::default())
+        .unwrap();
+    let chain_analysis = EppAnalysis::new(&chain, sp).unwrap();
+    let mut skewed = vec![chain.find("x0").unwrap()];
+    skewed.extend(std::iter::repeat_n(
+        chain.find(&format!("g{}", stages - 1)).unwrap(),
+        70,
+    ));
+    let seven = assert_threads_agree(&chain_analysis, &skewed, PolarityMode::Tracked, &pool);
+    assert_eq!(seven.threads_used(), 2, "more threads than batches");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -216,14 +319,14 @@ proptest! {
         }
     }
 
-    /// The owned-conversion compatibility path (`all_sites*`) inherits
-    /// the same identity.
+    /// The owned conversion of a multi-threaded sweep
+    /// (`sweep(..).to_site_epps()`) inherits the same identity.
     #[test]
     fn all_sites_matches_reference((inputs, gates, reconv, xf, seed) in dag_strategy()) {
         let c = build(inputs, gates, reconv, xf, seed);
         let sp = IndependentSp::new().compute(&c, &InputProbs::default()).unwrap();
         let analysis = EppAnalysis::new(&c, sp).unwrap();
-        let owned = analysis.all_sites_parallel(3);
+        let owned = analysis.sweep(3, &WorkspacePool::new()).to_site_epps();
         let mut ws = SiteWorkspace::new(&analysis);
         for (id, got) in c.node_ids().zip(&owned) {
             let reference = analysis.site_with_workspace(id, PolarityMode::Tracked, &mut ws);
