@@ -1,9 +1,9 @@
 //! Shared harness code for the benchmark and table-regeneration
 //! binaries (`table2`, `figure1`, `ablations`).
 //!
-//! The binaries print the rows the paper reports; Criterion benches in
-//! `benches/` measure the kernels. This library holds the pieces both
-//! need: workload selection, accuracy metrics and table formatting.
+//! The binaries print the rows the paper reports. This library holds
+//! the pieces they share: workload selection, accuracy metrics and
+//! table formatting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -206,7 +206,7 @@ pub fn multi_cycle_monte_carlo(
     seed: u64,
 ) -> Result<Vec<f64>, ser_netlist::NetlistError> {
     assert!(runs > 0, "at least one run");
-    let est = expect_uncancelled(run_multi_cycle_mc(
+    let est = expect_uncancelled(simulate_multi_cycle(
         circuit.into(),
         site,
         cycles,
@@ -320,7 +320,7 @@ pub fn multi_cycle_monte_carlo_sequential(
     );
     assert!(max_runs > 0, "at least one run");
     let needed = (1.0 / (target_error * target_error)).ceil() as u64 + 2;
-    expect_uncancelled(run_multi_cycle_mc(
+    expect_uncancelled(simulate_multi_cycle(
         circuit.into(),
         site,
         cycles,
@@ -364,7 +364,7 @@ pub fn multi_cycle_monte_carlo_sequential_observed(
     );
     assert!(max_runs > 0, "at least one run");
     let needed = (1.0 / (target_error * target_error)).ceil() as u64 + 2;
-    expect_uncancelled(run_multi_cycle_mc(
+    expect_uncancelled(simulate_multi_cycle(
         circuit.into(),
         site,
         cycles,
@@ -412,7 +412,7 @@ pub fn multi_cycle_monte_carlo_sequential_cancellable(
     );
     assert!(max_runs > 0, "at least one run");
     let needed = (1.0 / (target_error * target_error)).ceil() as u64 + 2;
-    run_multi_cycle_mc(
+    simulate_multi_cycle(
         circuit.into(),
         site,
         cycles,
@@ -429,7 +429,7 @@ pub fn multi_cycle_monte_carlo_sequential_cancellable(
 /// reaches `needed` (when set). Both simulators are compiled once,
 /// sharing one circuit handle, and re-seeded per block.
 #[allow(clippy::too_many_arguments)]
-fn run_multi_cycle_mc(
+fn simulate_multi_cycle(
     circuit: Arc<Circuit>,
     site: NodeId,
     cycles: usize,

@@ -65,7 +65,7 @@ const PREFETCH_DISTANCE: usize = 8;
 
 /// Per-thread scratch for the batched sweep: the `(Pa, Pā, P0, P1)`
 /// value planes indexed by cone-local position, stored as one
-/// 32-byte-aligned 4-wide lane array ([`Lane4`]) per position — so
+/// 32-byte-aligned 4-wide lane array (`Lane4`) per position — so
 /// reading or writing one tuple is a single bounds check and one
 /// aligned 32-byte access: a `vmovapd` for the AVX2 backend, a plain
 /// `[f64; 4]` copy for the scalar twin. Grows to the largest cone it

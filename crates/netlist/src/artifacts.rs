@@ -162,7 +162,7 @@ impl TopoArtifacts {
     /// from below (an edge *into* a DFF is not a combinational edge, so
     /// a DFF seed is only ever in its own cone).
     ///
-    /// Equivalent to testing every site's [`ConePlan`] position list
+    /// Equivalent to testing every site's [`ConePlan`](crate::ConePlan) position list
     /// against the seed set (see
     /// [`ConePlan::intersects`](crate::ConePlan::intersects)),
     /// but O(ancestors + edges) instead of O(sum of cones).

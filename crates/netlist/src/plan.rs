@@ -152,7 +152,8 @@ pub struct SitePlan {
 }
 
 /// The compiled cone plans of every site of one circuit in the
-/// suffix-shared arena (see the [module docs](self)).
+/// suffix-shared arena (its layout is described in the module docs of
+/// `crates/netlist/src/plan.rs`).
 ///
 /// Per-node tables hold each chain node's O(1) entry (next hop, tail
 /// id, path length, suffix counts); the tail table stores each

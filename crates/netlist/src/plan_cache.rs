@@ -74,8 +74,9 @@ pub struct PlanCacheStats {
     pub bytes: u64,
 }
 
-/// A persistent compile-artifact cache rooted at one directory (see
-/// the [module docs](self) for the file format).
+/// A persistent compile-artifact cache rooted at one directory (the
+/// file format is described in the module docs of
+/// `crates/netlist/src/plan_cache.rs`).
 ///
 /// # Examples
 ///

@@ -11,11 +11,13 @@
 //!   [`Circuit::structural_hash`](ser_netlist::Circuit::structural_hash),
 //!   with typed requests ([`SweepRequest`], [`SiteRequest`],
 //!   [`MultiCycleRequest`], [`MonteCarloRequest`]), arena-backed
-//!   responses, cross-request response caching, streaming
-//!   [`Progress`] events ([`SerService::submit_streaming`]), and warm
+//!   responses, cross-request response caching, and warm
 //!   per-netlist what-if stacks ([`SerService::whatif_apply`] /
 //!   [`SerService::whatif_revert`]) for the interactive
-//!   rank → harden → re-rank loop.
+//!   rank → harden → re-rank loop. Every compute request is a [`Job`]
+//!   and enters through [`SerService::submit_batch`] (or its one-job
+//!   wrapper [`SerService::submit`]); a job may carry a [`Progress`]
+//!   sink and a [`CancelToken`](ser_netlist::CancelToken).
 //! - [`Executor`] — the shared FIFO worker pool every request fans out
 //!   onto, so concurrent sweeps on different circuits interleave
 //!   instead of serializing.
@@ -54,7 +56,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use ser_netlist::parse_bench;
-//! use ser_service::{Request, SerService, SweepRequest};
+//! use ser_service::{Job, Request, SerService, SweepRequest};
 //!
 //! let and2: Arc<_> =
 //!     parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n", "and2")?.into();
@@ -62,8 +64,8 @@
 //!     parse_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = OR(a, b)\n", "or2")?.into();
 //! let service = SerService::with_defaults();
 //! let responses = service.submit_batch(vec![
-//!     (Arc::clone(&and2), Request::Sweep(SweepRequest::default())),
-//!     (Arc::clone(&or2), Request::Sweep(SweepRequest::default())),
+//!     Job::new(Arc::clone(&and2), Request::Sweep(SweepRequest::default())),
+//!     Job::new(Arc::clone(&or2), Request::Sweep(SweepRequest::default())),
 //! ]);
 //! for r in &responses {
 //!     assert_eq!(r.as_ref().unwrap().as_sweep().unwrap().len(), 3);
@@ -115,4 +117,4 @@ pub use request::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, Response, ResponseMeta,
     ResponsePayload, ServiceError, SiteRequest, SweepRequest,
 };
-pub use service::{BatchJob, Progress, ProgressFn, SerService, SerServiceConfig, ServiceStats};
+pub use service::{Job, Progress, ProgressFn, SerService, SerServiceConfig, ServiceStats};

@@ -54,7 +54,7 @@ use crate::request::{
     MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, Response, ResponsePayload,
     ServiceError, SiteRequest, SweepRequest,
 };
-use crate::service::{Progress, ProgressFn, SerService};
+use crate::service::{Job, Progress, ProgressFn, SerService};
 use crate::sync::{lock_clean, wait_clean};
 
 /// The protocol version this engine speaks. Version 1 is the
@@ -1645,25 +1645,16 @@ impl ProtocolEngine {
                 }
                 Err(e) => Ok(Err(e)),
             },
-            WireOp::Sweep(op) => self.run_sweep(id, op, sink, cancel),
-            WireOp::Site(op) => match self.run_simple(
-                id,
-                &op.netlist,
-                |circuit| {
-                    Ok(Request::Site(SiteRequest {
-                        site: resolve_node(circuit, &op.node)?,
-                    }))
-                },
-                cancel,
-            ) {
-                Ok(frame) => {
-                    sink.send(&frame)?;
-                    Ok(Ok(()))
+            // A solo compute op is a batch of one, minus the summary.
+            WireOp::Sweep(_) | WireOp::Site(_) | WireOp::MonteCarlo(_) | WireOp::MultiCycle(_) => {
+                match self.resolve_job(req, token.clone(), sink) {
+                    Ok(job) => {
+                        self.run_jobs(vec![job], sink)?;
+                        Ok(Ok(()))
+                    }
+                    Err(e) => Ok(Err(e)),
                 }
-                Err(e) => Ok(Err(e)),
-            },
-            WireOp::MonteCarlo(op) => self.run_monte_carlo(id, op, sink, cancel),
-            WireOp::MultiCycle(op) => self.run_multi_cycle(id, op, sink, cancel),
+            }
             WireOp::WhatIf(op) => self.run_whatif(id, op, sink, cancel),
             WireOp::Cancel(op) => {
                 let found = {
@@ -1703,27 +1694,6 @@ impl ProtocolEngine {
         }
     }
 
-    /// One-frame ops: resolve, submit, render the result frame.
-    fn run_simple(
-        &self,
-        id: Option<&str>,
-        netlist: &str,
-        build: impl FnOnce(&Circuit) -> Result<Request, WireError>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<String, WireError> {
-        let circuit = self.load_circuit(netlist)?;
-        let request = build(&circuit)?;
-        let _permit = self.inflight.acquire();
-        let response = self
-            .service
-            .submit_cancellable(&circuit, request, None, cancel.cloned())?;
-        Ok(format!(
-            "{}, {}}}",
-            frame_head("result", id),
-            response_fields(None, &circuit, &response, true)
-        ))
-    }
-
     fn run_set_inputs(&self, op: &SetInputsOp) -> Result<(Arc<Circuit>, u64), WireError> {
         let circuit = self.load_circuit(&op.netlist)?;
         let mut inputs = InputProbs::uniform(op.default_p);
@@ -1733,171 +1703,6 @@ impl ProtocolEngine {
         let _permit = self.inflight.acquire();
         let revision = self.service.set_inputs(&circuit, inputs)?;
         Ok((circuit, revision))
-    }
-
-    fn run_sweep(
-        &self,
-        id: Option<&str>,
-        op: &SweepOp,
-        sink: &FrameSink,
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<Result<(), WireError>> {
-        let circuit = match self.load_circuit(&op.netlist) {
-            Ok(c) => c,
-            Err(e) => return Ok(Err(e)),
-        };
-        let sites: Option<Vec<NodeId>> = match &op.sites {
-            None => None,
-            Some(names) => {
-                let mut ids = Vec::with_capacity(names.len());
-                for name in names {
-                    match resolve_node(&circuit, name) {
-                        Ok(id) => ids.push(id),
-                        Err(e) => return Ok(Err(e)),
-                    }
-                }
-                Some(ids)
-            }
-        };
-        let request = Request::Sweep(SweepRequest {
-            sites,
-            polarity: op.polarity,
-        });
-        let _permit = self.inflight.acquire();
-        let progress = op.progress.then(|| -> ProgressFn {
-            let sink = sink.clone();
-            let id: Option<String> = id.map(str::to_owned);
-            Arc::new(move |p: Progress| {
-                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-            })
-        });
-        let response =
-            self.service
-                .submit_cancellable(&circuit, request, progress, cancel.cloned());
-        let response = match response {
-            Ok(r) => r,
-            Err(e) => return Ok(Err(e.into())),
-        };
-
-        // Page per-site values into chunk frames before the result.
-        let mut chunks = 0usize;
-        if let (Some(chunk_sites), ResponsePayload::Sweep(sweep)) =
-            (op.chunk_sites, &response.payload)
-        {
-            chunks = send_sweep_chunks(sink, id, &circuit, sweep, chunk_sites)?;
-        }
-        let chunk_note = if op.chunk_sites.is_some() {
-            format!(", \"chunks\": {chunks}")
-        } else {
-            String::new()
-        };
-        sink.send(&format!(
-            "{}, {}{chunk_note}}}",
-            frame_head("result", id),
-            response_fields(op.top, &circuit, &response, true)
-        ))?;
-        Ok(Ok(()))
-    }
-
-    fn run_monte_carlo(
-        &self,
-        id: Option<&str>,
-        op: &MonteCarloOp,
-        sink: &FrameSink,
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<Result<(), WireError>> {
-        let circuit = match self.load_circuit(&op.netlist) {
-            Ok(c) => c,
-            Err(e) => return Ok(Err(e)),
-        };
-        let site = match resolve_node(&circuit, &op.node) {
-            Ok(s) => s,
-            Err(e) => return Ok(Err(e)),
-        };
-        let request = Request::MonteCarlo(MonteCarloRequest {
-            site,
-            vectors: op.vectors.unwrap_or(JobSpec::DEFAULT_VECTORS),
-            target_error: op.target_error,
-            seed: op.seed.unwrap_or(JobSpec::DEFAULT_SEED),
-        });
-        let _permit = self.inflight.acquire();
-        let streaming = op.progress && op.target_error.is_some();
-        let progress = streaming.then(|| -> ProgressFn {
-            let sink = sink.clone();
-            let id: Option<String> = id.map(str::to_owned);
-            Arc::new(move |p: Progress| {
-                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-            })
-        });
-        let response =
-            self.service
-                .submit_cancellable(&circuit, request, progress, cancel.cloned());
-        match response {
-            Ok(response) => {
-                sink.send(&format!(
-                    "{}, {}}}",
-                    frame_head("result", id),
-                    response_fields(None, &circuit, &response, true)
-                ))?;
-                Ok(Ok(()))
-            }
-            Err(e) => Ok(Err(e.into())),
-        }
-    }
-
-    fn run_multi_cycle(
-        &self,
-        id: Option<&str>,
-        op: &MultiCycleOp,
-        sink: &FrameSink,
-        cancel: Option<&CancelToken>,
-    ) -> io::Result<Result<(), WireError>> {
-        let circuit = match self.load_circuit(&op.netlist) {
-            Ok(c) => c,
-            Err(e) => return Ok(Err(e)),
-        };
-        let site = match resolve_node(&circuit, &op.node) {
-            Ok(s) => s,
-            Err(e) => return Ok(Err(e)),
-        };
-        let request = Request::MultiCycle(MultiCycleRequest {
-            site,
-            cycles: op.cycles,
-            monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
-                runs: mc.runs,
-                target_error: mc.target_error,
-                seed: mc.seed.unwrap_or(JobSpec::DEFAULT_SEED),
-            }),
-        });
-        let _permit = self.inflight.acquire();
-        // Progress only makes sense when the simulation leg runs under
-        // the sequential stopping rule (data-dependent runtime).
-        let streaming = op.progress
-            && op
-                .monte_carlo
-                .as_ref()
-                .is_some_and(|mc| mc.target_error.is_some());
-        let progress = streaming.then(|| -> ProgressFn {
-            let sink = sink.clone();
-            let id: Option<String> = id.map(str::to_owned);
-            Arc::new(move |p: Progress| {
-                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-            })
-        });
-        let response =
-            self.service
-                .submit_cancellable(&circuit, request, progress, cancel.cloned());
-        match response {
-            Ok(response) => {
-                sink.send(&format!(
-                    "{}, {}}}",
-                    frame_head("result", id),
-                    response_fields(None, &circuit, &response, true)
-                ))?;
-                Ok(Ok(()))
-            }
-            Err(e) => Ok(Err(e.into())),
-        }
     }
 
     /// Serves a `whatif` op: applies the edit to the netlist's warm
@@ -1999,12 +1804,9 @@ impl ProtocolEngine {
 
     /// Serves a `batch` op: every job is resolved up front (any
     /// resolution failure rejects the whole batch before any work is
-    /// enqueued), then all jobs are submitted together so their
-    /// executor parts interleave on the shared workers. Each job
-    /// answers with its own id-echoed progress/chunk/result (or error)
-    /// frames, in job order, then one batch-level result frame closes
-    /// the envelope. One inflight permit covers the whole batch — it
-    /// is one wire request.
+    /// enqueued), then all jobs run through [`run_jobs`](Self::run_jobs)
+    /// together, so their executor parts interleave on the shared
+    /// workers, and one batch-level result frame closes the envelope.
     ///
     /// Cancellation: each job's token registers under the job's own id
     /// *and* under the batch envelope's id, so a client can cancel one
@@ -2019,186 +1821,180 @@ impl ProtocolEngine {
         sink: &FrameSink,
     ) -> io::Result<Result<(), WireError>> {
         let mut jobs = Vec::with_capacity(op.jobs.len());
+        let mut entries = Vec::new();
         for job in &op.jobs {
-            match self.resolve_batch_job(job, deadline_ms, sink) {
+            let token = match deadline_ms.into_iter().chain(job.deadline_ms).min() {
+                Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
+                None => CancelToken::new(),
+            };
+            for rid in job.id.as_deref().into_iter().chain(id) {
+                entries.push(((session.to_owned(), rid.to_owned()), token.clone()));
+            }
+            match self.resolve_job(job, Some(token), sink) {
                 Ok(j) => jobs.push(j),
                 Err(e) => return Ok(Err(e)),
             }
         }
-        let mut entries = Vec::new();
-        for (job, spec) in op.jobs.iter().zip(&jobs) {
-            for rid in job.id.as_deref().into_iter().chain(id) {
-                entries.push(((session.to_owned(), rid.to_owned()), spec.token.clone()));
-            }
-        }
         let _guard = CancelGuard::register(&self.cancels, entries);
-        let _permit = self.inflight.acquire();
-        let results = self.service.submit_batch_cancellable(
-            jobs.iter()
-                .map(|j| {
-                    (
-                        Arc::clone(&j.circuit),
-                        j.request.clone(),
-                        j.progress.clone(),
-                        Some(j.token.clone()),
-                    )
-                })
-                .collect(),
-        );
-        let mut errors = 0usize;
-        for ((job, spec), result) in op.jobs.iter().zip(&jobs).zip(results) {
-            let jid = job.id.as_deref();
-            match result {
-                Ok(response) => {
-                    let mut chunks = 0usize;
-                    if let (Some(chunk_sites), ResponsePayload::Sweep(sweep)) =
-                        (spec.chunk_sites, &response.payload)
-                    {
-                        chunks = send_sweep_chunks(sink, jid, &spec.circuit, sweep, chunk_sites)?;
-                    }
-                    let chunk_note = if spec.chunk_sites.is_some() {
-                        format!(", \"chunks\": {chunks}")
-                    } else {
-                        String::new()
-                    };
-                    sink.send(&format!(
-                        "{}, {}{chunk_note}}}",
-                        frame_head("result", jid),
-                        response_fields(spec.top, &spec.circuit, &response, true)
-                    ))?;
-                }
-                Err(e) => {
-                    errors += 1;
-                    sink.send(&render_error_frame(jid, &WireError::from(&e)))?;
-                }
-            }
-        }
+        let count = jobs.len();
+        let errors = self.run_jobs(jobs, sink)?;
         sink.send(&format!(
-            "{}, \"op\": \"batch\", \"jobs\": {}, \"errors\": {errors}}}",
-            frame_head("result", id),
-            jobs.len()
+            "{}, \"op\": \"batch\", \"jobs\": {count}, \"errors\": {errors}}}",
+            frame_head("result", id)
         ))?;
         Ok(Ok(()))
     }
 
-    /// Resolves one `batch` job into a submittable request plus its
-    /// render/cancel bookkeeping.
-    fn resolve_batch_job(
+    /// The one compute path: submits resolved jobs as one service
+    /// batch under one inflight permit (one wire request), then answers
+    /// each job in order with its id-echoed chunk frames and result
+    /// frame, or its error frame. Returns how many jobs failed.
+    fn run_jobs(&self, jobs: Vec<(Job, JobReply<'_>)>, sink: &FrameSink) -> io::Result<usize> {
+        let (jobs, replies): (Vec<Job>, Vec<JobReply>) = jobs.into_iter().unzip();
+        let _permit = self.inflight.acquire();
+        let results = self.service.submit_batch(jobs);
+        let mut errors = 0usize;
+        for (reply, result) in replies.iter().zip(results) {
+            let id = reply.id;
+            match result {
+                Ok(response) => {
+                    let mut chunk_note = String::new();
+                    if let Some(chunk_sites) = reply.chunk_sites {
+                        let mut chunks = 0usize;
+                        if let ResponsePayload::Sweep(sweep) = &response.payload {
+                            chunks =
+                                send_sweep_chunks(sink, id, &reply.circuit, sweep, chunk_sites)?;
+                        }
+                        chunk_note = format!(", \"chunks\": {chunks}");
+                    }
+                    sink.send(&format!(
+                        "{}, {}{chunk_note}}}",
+                        frame_head("result", id),
+                        response_fields(reply.top, &reply.circuit, &response, true)
+                    ))?;
+                }
+                Err(e) => {
+                    errors += 1;
+                    sink.send(&render_error_frame(id, &WireError::from(&e)))?;
+                }
+            }
+        }
+        Ok(errors)
+    }
+
+    /// Resolves one compute request (a solo op or a `batch` job) into a
+    /// submittable [`Job`] under `cancel`, plus what its reply needs.
+    fn resolve_job<'r>(
         &self,
-        job: &WireRequest,
-        batch_deadline_ms: Option<u64>,
+        req: &'r WireRequest,
+        cancel: Option<CancelToken>,
         sink: &FrameSink,
-    ) -> Result<BatchJob, WireError> {
-        let effective_ms = match (batch_deadline_ms, job.deadline_ms) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let token = match effective_ms {
-            Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
-            None => CancelToken::new(),
-        };
-        let progress_sink = |want: bool| -> Option<ProgressFn> {
-            want.then(|| -> ProgressFn {
-                let sink = sink.clone();
-                let id: Option<String> = job.id.clone();
-                Arc::new(move |p: Progress| {
-                    let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
-                })
-            })
-        };
-        match &job.op {
+    ) -> Result<(Job, JobReply<'r>), WireError> {
+        // Progress streams only where it means something: sweeps, and
+        // simulation legs under the sequential stopping rule (whose
+        // runtime is data-dependent).
+        let (circuit, request, streaming, top, chunk_sites) = match &req.op {
             WireOp::Sweep(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
                 let sites = match &op.sites {
                     None => None,
-                    Some(names) => {
-                        let mut ids = Vec::with_capacity(names.len());
-                        for name in names {
-                            ids.push(resolve_node(&circuit, name)?);
-                        }
-                        Some(ids)
-                    }
+                    Some(names) => Some(
+                        names
+                            .iter()
+                            .map(|name| resolve_node(&circuit, name))
+                            .collect::<Result<Vec<_>, _>>()?,
+                    ),
                 };
-                Ok(BatchJob {
-                    request: Request::Sweep(SweepRequest {
-                        sites,
-                        polarity: op.polarity,
-                    }),
-                    progress: progress_sink(op.progress),
-                    top: op.top,
-                    chunk_sites: op.chunk_sites,
-                    circuit,
-                    token,
-                })
+                let request = Request::Sweep(SweepRequest {
+                    sites,
+                    polarity: op.polarity,
+                });
+                (circuit, request, op.progress, op.top, op.chunk_sites)
             }
             WireOp::Site(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
                 let site = resolve_node(&circuit, &op.node)?;
-                Ok(BatchJob {
-                    request: Request::Site(SiteRequest { site }),
-                    progress: None,
-                    top: None,
-                    chunk_sites: None,
+                (
                     circuit,
-                    token,
-                })
+                    Request::Site(SiteRequest { site }),
+                    false,
+                    None,
+                    None,
+                )
             }
             WireOp::MonteCarlo(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
-                let site = resolve_node(&circuit, &op.node)?;
-                Ok(BatchJob {
-                    request: Request::MonteCarlo(MonteCarloRequest {
-                        site,
-                        vectors: op.vectors.unwrap_or(JobSpec::DEFAULT_VECTORS),
-                        target_error: op.target_error,
-                        seed: op.seed.unwrap_or(JobSpec::DEFAULT_SEED),
-                    }),
-                    progress: progress_sink(op.progress && op.target_error.is_some()),
-                    top: None,
-                    chunk_sites: None,
-                    circuit,
-                    token,
-                })
+                let request = Request::MonteCarlo(MonteCarloRequest {
+                    site: resolve_node(&circuit, &op.node)?,
+                    vectors: op.vectors.unwrap_or(JobSpec::DEFAULT_VECTORS),
+                    target_error: op.target_error,
+                    seed: op.seed.unwrap_or(JobSpec::DEFAULT_SEED),
+                });
+                let streaming = op.progress && op.target_error.is_some();
+                (circuit, request, streaming, None, None)
             }
             WireOp::MultiCycle(op) => {
                 let circuit = self.load_circuit(&op.netlist)?;
-                let site = resolve_node(&circuit, &op.node)?;
+                let request = Request::MultiCycle(MultiCycleRequest {
+                    site: resolve_node(&circuit, &op.node)?,
+                    cycles: op.cycles,
+                    monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
+                        runs: mc.runs,
+                        target_error: mc.target_error,
+                        seed: mc.seed.unwrap_or(JobSpec::DEFAULT_SEED),
+                    }),
+                });
                 let streaming = op.progress
                     && op
                         .monte_carlo
                         .as_ref()
                         .is_some_and(|mc| mc.target_error.is_some());
-                Ok(BatchJob {
-                    request: Request::MultiCycle(MultiCycleRequest {
-                        site,
-                        cycles: op.cycles,
-                        monte_carlo: op.monte_carlo.as_ref().map(|mc| MultiCycleMcRequest {
-                            runs: mc.runs,
-                            target_error: mc.target_error,
-                            seed: mc.seed.unwrap_or(JobSpec::DEFAULT_SEED),
-                        }),
-                    }),
-                    progress: progress_sink(streaming),
-                    top: None,
-                    chunk_sites: None,
-                    circuit,
-                    token,
-                })
+                (circuit, request, streaming, None, None)
             }
-            // Unreachable in practice: the parser rejects other ops.
-            _ => Err(bad(
-                "batch jobs are sweep/site/monte_carlo/multi_cycle only",
-            )),
-        }
+            // Unreachable: only compute ops are dispatched here, and the
+            // parser rejects any other op inside a batch.
+            _ => {
+                return Err(bad(
+                    "batch jobs are sweep/site/monte_carlo/multi_cycle only",
+                ))
+            }
+        };
+        let progress = streaming.then(|| -> ProgressFn {
+            let sink = sink.clone();
+            let id = req.id.clone();
+            Arc::new(move |p: Progress| {
+                let _ = sink.send(&render_progress_frame(id.as_deref(), &p));
+            })
+        });
+        let reply = JobReply {
+            id: req.id.as_deref(),
+            circuit: Arc::clone(&circuit),
+            top,
+            chunk_sites,
+        };
+        Ok((
+            Job {
+                circuit,
+                request,
+                progress,
+                cancel,
+            },
+            reply,
+        ))
     }
 
     /// Loads (or reuses) a netlist by path. The cache is engine-wide:
     /// every connection shares one parse and one `Arc<Circuit>` per
     /// path, which also keeps the service's session cache keyed
-    /// consistently.
+    /// consistently. Each lookup stats the file, and an entry is reused
+    /// only while the file's length and mtime still match, so a netlist
+    /// rewritten on disk is re-read instead of served stale.
     fn load_circuit(&self, path: &str) -> Result<Arc<Circuit>, WireError> {
-        if let Some(c) = lock_clean(&self.circuits).get(path) {
-            return Ok(c);
+        let stamp = std::fs::metadata(path).and_then(|m| Ok((m.len(), m.modified()?)));
+        if let Ok(stamp) = stamp {
+            if let Some(c) = lock_clean(&self.circuits).get(path, stamp) {
+                return Ok(c);
+            }
         }
         let cannot_read = |e: &dyn std::fmt::Display| {
             WireError::new(ErrorCode::NotFound, format!("cannot read `{path}`: {e}"))
@@ -2227,10 +2023,18 @@ impl ProtocolEngine {
             WireError::new(ErrorCode::BadRequest, format!("cannot parse `{path}`: {e}"))
         })?;
         let circuit = Arc::new(circuit);
-        lock_clean(&self.circuits).insert(path, &circuit);
+        // The stamp predates the read: a write racing this load leaves
+        // an entry whose stamp no longer matches, so it is re-read.
+        if let Ok(stamp) = stamp {
+            lock_clean(&self.circuits).insert(path, stamp, &circuit);
+        }
         Ok(circuit)
     }
 }
+
+/// A netlist file's `(length, mtime)`: what a [`NetlistCache`] entry
+/// must still match on disk to be reused.
+type FileStamp = (u64, std::time::SystemTime);
 
 /// The engine-wide netlist cache: one parse and one `Arc<Circuit>`
 /// per path, shared by every connection — **bounded**, with the same
@@ -2240,7 +2044,7 @@ impl ProtocolEngine {
 /// an evicted circuit keep their `Arc`s.
 #[derive(Debug, Default)]
 struct NetlistCache {
-    entries: HashMap<String, (Arc<Circuit>, u64)>,
+    entries: HashMap<String, (Arc<Circuit>, FileStamp, u64)>,
     tick: u64,
 }
 
@@ -2250,26 +2054,30 @@ impl NetlistCache {
     /// end; re-parsing the overflow is correct, just slower.
     const CAPACITY: usize = 64;
 
-    fn get(&mut self, path: &str) -> Option<Arc<Circuit>> {
+    /// The cached circuit for `path`, if it was read from a file with
+    /// the same `stamp`.
+    fn get(&mut self, path: &str, stamp: FileStamp) -> Option<Arc<Circuit>> {
         self.tick += 1;
         let tick = self.tick;
-        let (circuit, last_used) = self.entries.get_mut(path)?;
+        let (circuit, cached, last_used) = self.entries.get_mut(path)?;
+        if *cached != stamp {
+            return None;
+        }
         *last_used = tick;
         Some(Arc::clone(circuit))
     }
 
-    fn insert(&mut self, path: &str, circuit: &Arc<Circuit>) {
+    fn insert(&mut self, path: &str, stamp: FileStamp, circuit: &Arc<Circuit>) {
         self.tick += 1;
         let tick = self.tick;
         crate::service::evict_lru_at_capacity(
             &mut self.entries,
             &path.to_owned(),
             Self::CAPACITY,
-            |&(_, last_used)| last_used,
+            |&(_, _, last_used)| last_used,
         );
         self.entries
-            .entry(path.to_owned())
-            .or_insert((Arc::clone(circuit), tick));
+            .insert(path.to_owned(), (Arc::clone(circuit), stamp, tick));
     }
 }
 
@@ -2330,20 +2138,17 @@ fn build_whatif_edit(circuit: &Circuit, edit: &WhatIfEditOp) -> Result<Edit, Wir
     }
 }
 
-/// One resolved job of a `batch` envelope, ready to submit: the loaded
-/// circuit, the typed request, and the render/cancel bookkeeping the
-/// reply loop needs after the executor returns.
-struct BatchJob {
+/// What a job's reply frames need once the service has answered: the
+/// id to echo, the circuit to name sites by, and the sweep's `top` and
+/// `chunk_sites` rendering options.
+struct JobReply<'r> {
+    id: Option<&'r str>,
     circuit: Arc<Circuit>,
-    request: Request,
-    progress: Option<ProgressFn>,
-    token: CancelToken,
     top: Option<usize>,
     chunk_sites: Option<usize>,
 }
 
-/// Pages a sweep's per-site values into id-echoed `chunk` frames
-/// (shared by the solo `sweep` op and each sweep job of a `batch`);
+/// Pages a sweep's per-site values into id-echoed `chunk` frames;
 /// returns the number of chunk frames sent.
 fn send_sweep_chunks(
     sink: &FrameSink,

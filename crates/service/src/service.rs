@@ -246,7 +246,8 @@ impl std::fmt::Debug for WhatIfCache {
     }
 }
 
-/// The multi-circuit SER service. See the [module docs](self).
+/// The multi-circuit SER service: warm sessions in a bounded LRU, and
+/// every request fanned out onto one shared executor.
 ///
 /// # Examples
 ///
@@ -342,16 +343,58 @@ pub enum Progress {
 /// `Send + Sync`; keep it cheap — it runs on the request's hot path.
 pub type ProgressFn = Arc<dyn Fn(Progress) + Send + Sync>;
 
-/// One job of a cancellable batch
-/// ([`SerService::submit_batch_cancellable`]): the circuit, the typed
-/// request, an optional per-job progress sink and an optional per-job
-/// cancel token.
-pub type BatchJob = (
-    Arc<Circuit>,
-    Request,
-    Option<ProgressFn>,
-    Option<CancelToken>,
-);
+/// One job of a [`SerService::submit_batch`]: the circuit, the typed
+/// request, and the job's own optional progress sink and cooperative
+/// [`CancelToken`].
+///
+/// With a sink, the job streams [`Progress`] while it runs: sweep part
+/// completions as they are collected, and — for sequential
+/// Monte-Carlo legs — interim trial counters from the worker at
+/// doubling vector thresholds (first at
+/// [`MC_PROGRESS_FIRST_AT`](SerService::MC_PROGRESS_FIRST_AT)).
+/// Progress observes the run, it never reshapes it; requests served
+/// from the response cache complete without events.
+///
+/// With a token, the job polls it between executor parts (sweep site
+/// batches), between Monte-Carlo observation blocks, at the
+/// multi-cycle simulation's block boundaries and inside a cold
+/// session's plan compile. A trip fails the job with
+/// [`ServiceError::Cancelled`], drops its partial parts and populates
+/// **no** cache.
+pub struct Job {
+    /// The circuit the request runs against.
+    pub circuit: Arc<Circuit>,
+    /// The typed request.
+    pub request: Request,
+    /// Where progress events go (`None`: the job runs silently).
+    pub progress: Option<ProgressFn>,
+    /// The job's cancel token (`None`: the job cannot be cancelled).
+    pub cancel: Option<CancelToken>,
+}
+
+impl Job {
+    /// A job with no progress sink and no cancel token.
+    #[must_use]
+    pub fn new(circuit: Arc<Circuit>, request: Request) -> Self {
+        Job {
+            circuit,
+            request,
+            progress: None,
+            cancel: None,
+        }
+    }
+}
+
+impl std::fmt::Debug for Job {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Job")
+            .field("circuit", &self.circuit.name())
+            .field("request", &self.request)
+            .field("progress", &self.progress.is_some())
+            .field("cancel", &self.cancel)
+            .finish()
+    }
+}
 
 /// One executor job's output, tagged `(job, part)` for reassembly.
 enum Part {
@@ -655,9 +698,9 @@ impl SerService {
     /// returns the engine's outcome: new total SER, per-site deltas
     /// over the dirty region, and how many dirty sites re-swept on
     /// plans and on the reference kernel. The first
-    /// call against a netlist creates the stack from the warm session
-    /// (see [`whatif_session`](Self::whatif_session)); later calls pay
-    /// only the dirty-region re-analysis.
+    /// call against a netlist creates the stack by cloning the warm
+    /// [`AnalysisSession`], seeded from a cached whole-circuit sweep when
+    /// one is current; later calls pay only the dirty-region re-analysis.
     ///
     /// `edit` is a *resolver*, not an [`Edit`]: it receives the stack's
     /// **current** (possibly already-edited) circuit, because that is
@@ -774,7 +817,7 @@ impl SerService {
     ///
     /// Everything [`session`](Self::session) returns, plus
     /// [`ServiceError::Cancelled`] when the token trips mid-compile.
-    pub fn session_cancellable(
+    fn session_cancellable(
         &self,
         circuit: &Arc<Circuit>,
         cancel: Option<&CancelToken>,
@@ -877,9 +920,9 @@ impl SerService {
         Ok((session, false))
     }
 
-    /// Serves one request. Equivalent to a one-element
-    /// [`submit_batch`](Self::submit_batch); the request's jobs still
-    /// fan out across the shared executor.
+    /// Serves one request: a one-job [`submit_batch`](Self::submit_batch)
+    /// with no progress sink and no cancel token. The request's parts
+    /// still fan out across the shared executor.
     ///
     /// # Errors
     ///
@@ -889,7 +932,7 @@ impl SerService {
         circuit: &Arc<Circuit>,
         request: Request,
     ) -> Result<Response, ServiceError> {
-        self.submit_batch(vec![(Arc::clone(circuit), request)])
+        self.submit_batch(vec![Job::new(Arc::clone(circuit), request)])
             .pop()
             .unwrap_or_else(|| {
                 Err(ServiceError::Internal(
@@ -898,100 +941,24 @@ impl SerService {
             })
     }
 
-    /// Serves one request, streaming [`Progress`] events into
-    /// `on_progress` while it runs: sweep part completions as they are
-    /// collected, and — for sequential Monte-Carlo requests — interim
-    /// trial counters from the worker at doubling vector thresholds
-    /// (first at [`MC_PROGRESS_FIRST_AT`](Self::MC_PROGRESS_FIRST_AT),
-    /// so short runs stay quiet and long runs emit O(log n) events).
-    ///
-    /// The response is **identical** to [`submit`](Self::submit) with
-    /// the same arguments: progress reporting observes the run, it
-    /// never reshapes it. Requests served straight from the response
-    /// cache complete without any progress events.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceError`].
-    pub fn submit_streaming(
-        &self,
-        circuit: &Arc<Circuit>,
-        request: Request,
-        on_progress: ProgressFn,
-    ) -> Result<Response, ServiceError> {
-        self.submit_cancellable(circuit, request, Some(on_progress), None)
-    }
-
-    /// Serves one request under an optional progress sink and an
-    /// optional cooperative [`CancelToken`] — the fully general single
-    /// submit. The token is polled between executor parts (sweep site
-    /// batches), between Monte-Carlo observation blocks, at the
-    /// multi-cycle simulation's block boundaries and inside a cold
-    /// session's plan compile; a trip aborts the request with
-    /// [`ServiceError::Cancelled`], drops every partial part, and
-    /// populates **no** cache. Requests without a token are unaffected.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceError`]; [`ServiceError::Cancelled`] when the
-    /// token trips before the request completes.
-    pub fn submit_cancellable(
-        &self,
-        circuit: &Arc<Circuit>,
-        request: Request,
-        on_progress: Option<ProgressFn>,
-        cancel: Option<CancelToken>,
-    ) -> Result<Response, ServiceError> {
-        self.submit_batch_cancellable(vec![(Arc::clone(circuit), request, on_progress, cancel)])
-            .pop()
-            .unwrap_or_else(|| {
-                Err(ServiceError::Internal(
-                    "batch returned no response for its one job".into(),
-                ))
-            })
-    }
-
-    /// Serves a batch of requests, possibly against different circuits.
-    /// Every request's jobs are enqueued up front, so sweeps on
-    /// distinct circuits run interleaved on the shared workers; the
-    /// responses come back in submission order.
+    /// Serves a batch of jobs, possibly against different circuits.
+    /// Every job's parts are enqueued up front, so sweeps on distinct
+    /// circuits run interleaved on the shared workers; the responses
+    /// come back in submission order.
     ///
     /// Results are **bit-identical** to running each request directly
     /// on its session: the sweep fan-out re-partitions sites across
-    /// jobs, but each site is evaluated by the same plan kernel over
-    /// the same shared artifacts.
+    /// parts, but each site is evaluated by the same plan kernel over
+    /// the same shared artifacts. Jobs are independent: a failed or
+    /// cancelled job never disturbs its neighbours — their parts keep
+    /// running and their responses stay bit-identical to a solo run.
     #[must_use]
-    pub fn submit_batch(
-        &self,
-        jobs: Vec<(Arc<Circuit>, Request)>,
-    ) -> Vec<Result<Response, ServiceError>> {
-        self.submit_batch_cancellable(
-            jobs.into_iter()
-                .map(|(circuit, request)| (circuit, request, None, None))
-                .collect(),
-        )
-    }
-
-    /// [`submit_batch`](Self::submit_batch) with an optional progress
-    /// sink (see [`submit_streaming`](Self::submit_streaming)) and an
-    /// optional cooperative [`CancelToken`] per job (see
-    /// [`submit_cancellable`](Self::submit_cancellable)). Tokens are
-    /// independent: cancelling one job of a batch never disturbs its
-    /// neighbours — their parts keep running and their responses stay
-    /// bit-identical to a solo run.
-    #[must_use]
-    pub fn submit_batch_cancellable(
-        &self,
-        jobs: Vec<BatchJob>,
-    ) -> Vec<Result<Response, ServiceError>> {
+    pub fn submit_batch(&self, jobs: Vec<Job>) -> Vec<Result<Response, ServiceError>> {
         let (tx, rx) = mpsc::channel::<PartMsg>();
         let mut prepared: Vec<Result<Prepared, ServiceError>> = Vec::with_capacity(jobs.len());
 
-        for (job_idx, (circuit, request, progress, cancel)) in jobs.into_iter().enumerate() {
-            match self.prepare(&circuit, request, progress, cancel, job_idx, &tx) {
-                Ok(p) => prepared.push(Ok(p)),
-                Err(e) => prepared.push(Err(e)),
-            }
+        for (job_idx, job) in jobs.into_iter().enumerate() {
+            prepared.push(self.prepare(job, job_idx, &tx));
         }
         drop(tx);
 
@@ -1097,19 +1064,22 @@ impl SerService {
     /// executor jobs. Returns the bookkeeping needed to reassemble.
     fn prepare(
         &self,
-        circuit: &Arc<Circuit>,
-        request: Request,
-        progress: Option<ProgressFn>,
-        cancel: Option<CancelToken>,
+        job: Job,
         job_idx: usize,
         tx: &mpsc::Sender<PartMsg>,
     ) -> Result<Prepared, ServiceError> {
         let started = Instant::now();
+        let Job {
+            circuit,
+            request,
+            progress,
+            cancel,
+        } = job;
         if let Some(token) = &cancel {
             token.check().map_err(ServiceError::Cancelled)?;
         }
-        validate(circuit, &request, &self.config)?;
-        let (session, warm) = self.session_cancellable(circuit, cancel.as_ref())?;
+        validate(&circuit, &request, &self.config)?;
+        let (session, warm) = self.session_cancellable(&circuit, cancel.as_ref())?;
 
         // Whole-circuit sweeps are a pure function of the netlist, the
         // SP vector and the polarity — serve repeats (and the sites they
@@ -1217,7 +1187,7 @@ impl SerService {
                 let sink = progress.clone();
                 let cancel = cancel.clone();
                 self.executor.spawn(move || {
-                    let part = run_multi_cycle(&session, &req, sink, cancel.as_ref());
+                    let part = multi_cycle_part(&session, &req, sink, cancel.as_ref());
                     let _ = tx.send((job_idx, 0, part, Instant::now()));
                 });
                 1
@@ -1309,7 +1279,7 @@ fn same_circuit(cached: &Arc<Circuit>, submitted: &Arc<Circuit>) -> bool {
 /// progress sink, the sequential (Mendo-rule) simulation reports its
 /// run counters at the same doubling thresholds as the single-cycle
 /// Monte-Carlo leg — same observer, same cadence, bit-identical result.
-fn run_multi_cycle(
+fn multi_cycle_part(
     session: &AnalysisSession,
     req: &MultiCycleRequest,
     progress: Option<ProgressFn>,

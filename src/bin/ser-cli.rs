@@ -46,8 +46,8 @@ use ser_suite::netlist::{
     parse_bench, parse_verilog, write_bench, write_verilog, Circuit, CircuitStats, PlanCache,
 };
 use ser_suite::service::{
-    parse_job_line, serve, v1_response_json, EngineConfig, JobSpec, ProtocolEngine, SerService,
-    SerServiceConfig, StdioTransport, TcpTransport, WireError,
+    parse_job_line, serve, v1_response_json, EngineConfig, Job, JobSpec, ProtocolEngine,
+    SerService, SerServiceConfig, StdioTransport, TcpTransport, WireError,
 };
 
 fn load(path: &str) -> Result<Circuit, String> {
@@ -353,7 +353,7 @@ fn cmd_batch(path: &str, config: SerServiceConfig) -> Result<(), String> {
             let request = spec
                 .to_request(circuit)
                 .map_err(|e| format!("line {line_no}: {e}"))?;
-            Ok((Arc::clone(circuit), request))
+            Ok(Job::new(Arc::clone(circuit), request))
         })
         .collect::<Result<Vec<_>, String>>()?;
     let responses = service.submit_batch(jobs);

@@ -1270,6 +1270,116 @@ fn batch_rejects_a_bad_job_before_running_any() {
     let _ = std::fs::remove_file(&netlist);
 }
 
+/// Replaces the value of a frame's `"wall_us"` field with 0.
+fn mask_wall_us(frame: &str) -> String {
+    const KEY: &str = "\"wall_us\": ";
+    let Some(at) = frame.find(KEY) else {
+        return frame.to_owned();
+    };
+    let start = at + KEY.len();
+    let digits = frame[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(frame.len() - start);
+    format!("{}0{}", &frame[..start], &frame[start + digits..])
+}
+
+/// A solo compute op answers exactly like the same op sent as a
+/// one-job `batch`, minus the batch's closing summary frame. Each side
+/// runs on a fresh engine, so both see the same cold caches. Sweep
+/// progress frames are compared by count and final `sites_done` only:
+/// their cumulative values follow part completion order.
+#[test]
+fn solo_ops_answer_like_one_job_batches() {
+    let netlist = write_netlist("solo_batch");
+    let dff = write_dff_netlist("solo_batch_dff");
+    let (path, dff_path) = (netlist.to_str().unwrap(), dff.to_str().unwrap());
+    let jobs = [
+        format!(r#""id": "j", "op": "site", "netlist": "{path}", "node": "y""#),
+        format!(
+            r#""id": "j", "op": "sweep", "netlist": "{path}", "top": 3, "chunk_sites": 2, "progress": true"#
+        ),
+        format!(
+            r#""id": "j", "op": "monte_carlo", "netlist": "{path}", "node": "a", "target_error": 0.04, "seed": 11"#
+        ),
+        format!(
+            r#""id": "j", "op": "multi_cycle", "netlist": "{dff_path}", "node": "u", "cycles": 3, "monte_carlo": {{"runs": 100000, "target_error": 0.05, "seed": 7}}"#
+        ),
+    ];
+    let sweep_progress = |frames: &[String]| -> Vec<u64> {
+        frames
+            .iter()
+            .map(|f| json::parse_value(f).unwrap())
+            .filter(|v| {
+                v.get("frame").and_then(JsonValue::as_str) == Some("progress")
+                    && v.get("op").and_then(JsonValue::as_str) == Some("sweep")
+            })
+            .map(|v| v.get("sites_done").and_then(JsonValue::as_count).unwrap())
+            .collect()
+    };
+    for job in &jobs {
+        let solo = run_lines(&engine(), vec![format!(r#"{{"v": 2, {job}}}"#)]);
+        let mut batch = run_lines(
+            &engine(),
+            vec![format!(
+                r#"{{"v": 2, "id": "b", "op": "batch", "jobs": [{{{job}}}]}}"#
+            )],
+        );
+        let summary = json::parse_value(&batch.pop().unwrap()).unwrap();
+        assert_eq!(summary.get("op").and_then(JsonValue::as_str), Some("batch"));
+        assert_eq!(summary.get("errors").and_then(JsonValue::as_count), Some(0));
+        assert!(
+            solo.len() > 1 || job.contains("\"site\""),
+            "{job}: expected streamed frames, got {solo:?}"
+        );
+
+        let (solo_progress, batch_progress) = (sweep_progress(&solo), sweep_progress(&batch));
+        assert_eq!(solo_progress.len(), batch_progress.len(), "{job}");
+        assert_eq!(solo_progress.last(), batch_progress.last(), "{job}");
+        let rest = |frames: &[String]| -> Vec<String> {
+            frames
+                .iter()
+                .filter(|f| {
+                    !(f.contains("\"frame\": \"progress\"") && f.contains("\"op\": \"sweep\""))
+                })
+                .map(|f| mask_wall_us(f))
+                .collect()
+        };
+        assert_eq!(rest(&solo), rest(&batch), "{job}");
+    }
+    let _ = std::fs::remove_file(&netlist);
+    let _ = std::fs::remove_file(&dff);
+}
+
+/// A netlist rewritten on disk under the same path is re-read, not
+/// served from the engine's netlist cache.
+#[test]
+fn netlist_rewritten_on_disk_is_not_served_stale() {
+    let netlist = write_netlist("rewritten");
+    let path = netlist.to_str().unwrap();
+    let engine = engine();
+    let sweep = format!(r#"{{"v": 2, "id": "s", "op": "sweep", "netlist": "{path}", "top": 0}}"#);
+    let netlist_hash = |frames: &[String]| {
+        json::parse_value(frames.last().unwrap())
+            .unwrap()
+            .get("netlist_hash")
+            .and_then(JsonValue::as_str)
+            .map(str::to_owned)
+    };
+    let first = run_lines(&engine, vec![sweep.clone()]);
+
+    let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n";
+    std::fs::write(&netlist, text).unwrap();
+    let stem = netlist.file_stem().unwrap().to_str().unwrap();
+    let rewritten = ser_suite::netlist::parse_bench(text, stem).unwrap();
+    let second = run_lines(&engine, vec![sweep]);
+    assert_ne!(netlist_hash(&first), netlist_hash(&second), "{second:?}");
+    assert_eq!(
+        netlist_hash(&second),
+        Some(format!("{:016x}", rewritten.structural_hash()))
+    );
+    let _ = std::fs::remove_file(&netlist);
+}
+
 /// A line source the test feeds interactively; `None` through the
 /// channel ends the connection.
 struct ChannelLines(std::sync::mpsc::Receiver<Option<String>>);

@@ -9,8 +9,8 @@ use ser_suite::epp::{AnalysisSession, Edit, PolarityMode, SiteEpp};
 use ser_suite::gen::{c17, iscas89_like, profile, ripple_carry_adder, synthesize};
 use ser_suite::netlist::{Circuit, NodeId};
 use ser_suite::service::{
-    MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, Request, ResponsePayload,
-    SerService, SerServiceConfig, ServiceError, SiteRequest, SweepRequest,
+    Job, MonteCarloRequest, MultiCycleMcRequest, MultiCycleRequest, ProgressFn, Request, Response,
+    ResponsePayload, SerService, SerServiceConfig, ServiceError, SiteRequest, SweepRequest,
 };
 use ser_suite::sim::{MonteCarlo, SequentialMonteCarlo};
 use ser_suite::sp::InputProbs;
@@ -195,9 +195,9 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
 
     // One interleaved batch mixing both circuits…
     let responses = service.submit_batch(vec![
-        (Arc::clone(&a), Request::Sweep(SweepRequest::default())),
-        (Arc::clone(&b), Request::Sweep(SweepRequest::default())),
-        (Arc::clone(&a), Request::Sweep(SweepRequest::default())),
+        Job::new(Arc::clone(&a), Request::Sweep(SweepRequest::default())),
+        Job::new(Arc::clone(&b), Request::Sweep(SweepRequest::default())),
+        Job::new(Arc::clone(&a), Request::Sweep(SweepRequest::default())),
     ]);
     for (i, expected) in [&expected_a, &expected_b, &expected_a].iter().enumerate() {
         let r = responses[i].as_ref().unwrap();
@@ -510,10 +510,23 @@ fn set_inputs_survives_session_eviction() {
     );
 }
 
-/// `submit_streaming` reports progress without perturbing results:
+/// A job's progress sink reports without perturbing results:
 /// sweep part completions arrive monotonically, sequential Monte-Carlo
 /// counters stream from the worker, and the responses are identical to
 /// plain `submit`.
+fn submit_with_progress(
+    service: &SerService,
+    circuit: &Arc<Circuit>,
+    request: Request,
+    sink: ProgressFn,
+) -> Response {
+    let job = Job {
+        progress: Some(sink),
+        ..Job::new(Arc::clone(circuit), request)
+    };
+    service.submit_batch(vec![job]).pop().unwrap().unwrap()
+}
+
 #[test]
 fn streaming_progress_observes_without_perturbing() {
     use ser_suite::service::Progress;
@@ -537,9 +550,12 @@ fn streaming_progress_observes_without_perturbing() {
         let events = Arc::clone(&events);
         Arc::new(move |p: Progress| events.lock().unwrap().push(p))
     };
-    let streamed = service
-        .submit_streaming(&circuit, Request::Sweep(SweepRequest::default()), sink)
-        .unwrap();
+    let streamed = submit_with_progress(
+        &service,
+        &circuit,
+        Request::Sweep(SweepRequest::default()),
+        sink,
+    );
     let direct = service
         .submit(&circuit, Request::Sweep(SweepRequest::default()))
         .unwrap();
@@ -576,9 +592,7 @@ fn streaming_progress_observes_without_perturbing() {
         let events = Arc::clone(&events);
         Arc::new(move |p: Progress| events.lock().unwrap().push(p))
     };
-    let streamed = service
-        .submit_streaming(&circuit, request.clone(), sink)
-        .unwrap();
+    let streamed = submit_with_progress(&service, &circuit, request.clone(), sink);
     let direct = service.submit(&circuit, request).unwrap();
     assert_eq!(
         streamed.as_monte_carlo().unwrap(),
@@ -624,11 +638,11 @@ fn invalid_requests_are_rejected_up_front() {
 
     // A failed job in a batch doesn't poison its neighbours.
     let results = service.submit_batch(vec![
-        (
+        Job::new(
             Arc::clone(&circuit),
             Request::Site(SiteRequest { site: bogus }),
         ),
-        (
+        Job::new(
             Arc::clone(&circuit),
             Request::Sweep(SweepRequest::default()),
         ),
