@@ -18,11 +18,14 @@
 //!   reads fanins through the plan's indices and never touches
 //!   circuit-sized scratch.
 //! - **Scheduler**: an atomic-cursor work queue over cone-cost-balanced
-//!   batches; workers claim the next batch when they finish their
-//!   current one, so wildly varying cone sizes no longer leave threads
-//!   idle the way the old static `n / threads` split did. Each batch
-//!   writes its arrivals in place into its own range of one
-//!   exactly-sized arena; nothing is stitched after the join.
+//!   batches; workers — the calling thread among them — claim the next
+//!   batch when they finish their current one, so wildly varying cone
+//!   sizes no longer leave threads idle the way the old static
+//!   `n / threads` split did. Each batch writes its arrivals in place
+//!   into its own range of one exactly-sized arena; nothing is stitched
+//!   after the join. A caller may poll a [`CancelToken`] between
+//!   batches and observe batch completions
+//!   ([`EppAnalysis::sweep_sites_cancellable`]).
 //!
 //! Results land in a [`SweepResults`] arena — one shared `Vec` of
 //! per-point arrivals with per-site ranges — so the steady-state sweep
@@ -35,7 +38,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ser_netlist::{ConePlans, FaninRef, NodeId, ObservePoint};
+use ser_netlist::{CancelCause, CancelToken, ConePlans, FaninRef, NodeId, ObservePoint};
 use ser_sp::SpVector;
 
 use crate::engine::{
@@ -49,8 +52,10 @@ use crate::simd::AvxVec;
 use crate::simd::{KernelBackend, Lane4, LaneVec, ScalarVec};
 
 /// Below this many sites a parallel sweep is all coordination and no
-/// work: the scheduler runs single-threaded instead. (The old engine
-/// hard-coded the same `64` inline.)
+/// work: the scheduler runs the whole sweep as one batch on the calling
+/// thread. From this many sites up, the sites are cut into
+/// cost-balanced batches even at one thread, so a cancellable sweep
+/// has checkpoints and an observed sweep reports progress.
 pub const SINGLE_THREAD_SWEEP_THRESHOLD: usize = 64;
 
 /// How many batches the scheduler cuts per worker thread. More batches
@@ -390,39 +395,6 @@ impl SweepResults {
         self.iter().map(|r| r.to_site_epp()).collect()
     }
 
-    /// Stitches several sweep arenas into one, in part order — how a
-    /// service reassembles a sweep it fanned out as independent site
-    /// batches over a shared executor. Per-site payloads are
-    /// position-independent, so the concatenation is exactly the arena
-    /// a single sweep over the concatenated site list would produce.
-    /// `threads_used` becomes the number of parts (each part is one
-    /// worker's output).
-    #[must_use]
-    pub fn concat<I: IntoIterator<Item = SweepResults>>(parts: I) -> SweepResults {
-        let mut out = SweepResults {
-            sites: Vec::new(),
-            dense: false,
-            p_sensitized: Vec::new(),
-            on_path_gates: Vec::new(),
-            point_off: vec![0],
-            points: Vec::new(),
-            threads_used: 0,
-        };
-        for part in parts {
-            out.threads_used += 1;
-            out.sites.extend_from_slice(&part.sites);
-            out.p_sensitized.extend_from_slice(&part.p_sensitized);
-            out.on_path_gates.extend_from_slice(&part.on_path_gates);
-            let base = *out.point_off.last().expect("non-empty offsets");
-            out.point_off
-                .extend(part.point_off[1..].iter().map(|&o| o + base));
-            out.points.extend_from_slice(&part.points);
-        }
-        out.dense = out.sites.iter().enumerate().all(|(i, s)| s.index() == i);
-        out.threads_used = out.threads_used.max(1);
-        out
-    }
-
     /// Assembles a dense whole-circuit arena site by site — the splice
     /// primitive the what-if engine uses to merge re-swept dirty sites
     /// into a cached base sweep. `fill` is called once per node in id
@@ -628,6 +600,14 @@ enum BatchPoints<'a> {
     Buffer(Vec<PointEpp>),
 }
 
+/// The caller's hooks into one sweep (see
+/// [`EppAnalysis::sweep_sites_cancellable`]).
+#[derive(Default)]
+struct SweepControl<'a> {
+    cancel: Option<&'a CancelToken>,
+    progress: Option<&'a (dyn Fn(usize) + Sync)>,
+}
+
 /// Cuts `costs.len()` sites into contiguous, non-empty position ranges
 /// of roughly equal total cost — about `threads * BATCHES_PER_THREAD`
 /// of them, oversubscribed so fast workers steal the tail. Every range
@@ -729,6 +709,7 @@ impl EppAnalysis {
         // budget: the sweep then runs the bit-identical per-site
         // reference kernel (O(n) scratch) under the same scheduler.
         let plans = self.artifacts().cone_plans(self.circuit()).cloned();
+        let control = SweepControl::default();
         self.sweep_impl(
             sites,
             polarity,
@@ -736,6 +717,49 @@ impl EppAnalysis {
             pool,
             plans.as_deref(),
             backend.sanitized(),
+            control,
+        )
+        .unwrap_or_else(|_| unreachable!("a sweep without a token is never cancelled"))
+    }
+
+    /// [`sweep_sites_with`](Self::sweep_sites_with) for a caller that
+    /// must be able to stop and watch the sweep. `cancel` is polled
+    /// before each batch is claimed; `progress` is handed the
+    /// cumulative number of sites done after every batch, one call at a
+    /// time, so the counts it sees rise monotonically to `sites.len()`.
+    /// Sweeps of at least [`SINGLE_THREAD_SWEEP_THRESHOLD`] sites are
+    /// cut into several batches even at one thread, so both hooks fire
+    /// mid-sweep. Neither hook changes a bit of the results.
+    ///
+    /// # Errors
+    ///
+    /// The token's [`CancelCause`] when it trips before every batch was
+    /// claimed; the partial arena is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is 0 or any site is out of range.
+    pub fn sweep_sites_cancellable(
+        &self,
+        sites: &[NodeId],
+        polarity: PolarityMode,
+        threads: usize,
+        pool: &WorkspacePool,
+        cancel: Option<&CancelToken>,
+        progress: Option<&(dyn Fn(usize) + Sync)>,
+    ) -> Result<SweepResults, CancelCause> {
+        assert!(threads > 0, "at least one thread");
+        let plans = self.artifacts().cone_plans(self.circuit()).cloned();
+        let control = SweepControl { cancel, progress };
+        let backend = KernelBackend::auto().sanitized();
+        self.sweep_impl(
+            sites,
+            polarity,
+            threads,
+            pool,
+            plans.as_deref(),
+            backend,
+            control,
         )
     }
 
@@ -757,16 +781,13 @@ impl EppAnalysis {
         pool: &WorkspacePool,
     ) -> SweepResults {
         assert!(threads > 0, "at least one thread");
-        self.sweep_impl(
-            sites,
-            polarity,
-            threads,
-            pool,
-            None,
-            KernelBackend::auto().sanitized(),
-        )
+        let backend = KernelBackend::auto().sanitized();
+        let control = SweepControl::default();
+        self.sweep_impl(sites, polarity, threads, pool, None, backend, control)
+            .unwrap_or_else(|_| unreachable!("a sweep without a token is never cancelled"))
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn sweep_impl(
         &self,
         sites: &[NodeId],
@@ -775,9 +796,10 @@ impl EppAnalysis {
         pool: &WorkspacePool,
         plans: Option<&ConePlans>,
         backend: KernelBackend,
-    ) -> SweepResults {
+        control: SweepControl<'_>,
+    ) -> Result<SweepResults, CancelCause> {
         let n = sites.len();
-        let batches: Vec<_> = if threads == 1 || n < SINGLE_THREAD_SWEEP_THRESHOLD {
+        let batches: Vec<_> = if n < SINGLE_THREAD_SWEEP_THRESHOLD {
             std::iter::once(0..n).collect()
         } else {
             let costs: Vec<usize> = match plans {
@@ -822,9 +844,15 @@ impl EppAnalysis {
         assert!(slots.is_empty(), "batch ranges cover the whole arena");
 
         let cursor = AtomicUsize::new(0);
+        // Sites done so far; the observer is called under this lock, so
+        // the counts it sees never go backwards.
+        let done = Mutex::new(0usize);
         let work = || {
             let mut scratch = SweepScratch::checkout(self, pool, plans.is_some());
-            while let Some(region) = regions.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            while control.cancel.is_none_or(|t| t.check().is_ok()) {
+                let Some(region) = regions.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
                 let out = &mut *region.lock().expect("region lock poisoned");
                 for (k, &site) in out.sites.iter().enumerate() {
                     (out.p_sens[k], out.gates[k], out.counts[k]) = self.site_kernel(
@@ -836,18 +864,33 @@ impl EppAnalysis {
                         backend,
                     );
                 }
+                if let Some(progress) = control.progress {
+                    let mut done = done.lock().expect("progress lock poisoned");
+                    *done += out.sites.len();
+                    progress(*done);
+                }
             }
             scratch.give_back(pool);
         };
-        let workers = threads.min(batches.len()).max(1);
-        if workers == 1 {
+        // The calling thread is one of the workers. A refused spawn
+        // only means fewer workers: the cursor still hands out every
+        // batch.
+        let workers = std::thread::scope(|scope| {
+            let spawned = (1..threads.min(batches.len()))
+                .filter(|_| {
+                    std::thread::Builder::new()
+                        .spawn_scoped(scope, work)
+                        .is_ok()
+                })
+                .count();
             work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(work);
-                }
-            });
+            1 + spawned
+        });
+        // Workers stop claiming early only on a tripped token, and a
+        // tripped token stays tripped.
+        if cursor.into_inner() < regions.len() {
+            let cause = control.cancel.and_then(|t| t.check().err());
+            return Err(cause.unwrap_or(CancelCause::Cancelled));
         }
 
         let mut buffers = Vec::new();
@@ -864,7 +907,8 @@ impl EppAnalysis {
         // cut); `site_kernel` writes each range front to back, advancing
         // `filled` by exactly the slots it initialized, and every range
         // was seen filled to its length above. A worker panic re-raises
-        // out of `scope` first, so no unwritten slot is ever exposed.
+        // out of `scope` first, and a cancelled sweep returned before the
+        // fill check, so no unwritten slot is ever exposed.
         unsafe { points.set_len(total_points) };
         // Planless: stitch in batch order; a lone batch's buffer moves in.
         if plans.is_none() {
@@ -879,7 +923,7 @@ impl EppAnalysis {
             *off = last;
         }
 
-        SweepResults {
+        Ok(SweepResults {
             sites: sites.to_vec(),
             dense: sites.iter().enumerate().all(|(i, s)| s.index() == i),
             p_sensitized,
@@ -887,7 +931,7 @@ impl EppAnalysis {
             point_off,
             points,
             threads_used: workers,
-        }
+        })
     }
 
     /// Dispatches one site to the plan-driven kernel (on the sweep's
@@ -1354,13 +1398,56 @@ H = OR(C, D, G)
             let planned = epp.sweep_with(polarity, 1, &pool);
             for threads in [1usize, 4] {
                 for backend in [KernelBackend::Scalar, KernelBackend::Avx2.sanitized()] {
-                    let planless = epp.sweep_impl(&sites, polarity, threads, &pool, None, backend);
+                    let control = SweepControl::default();
+                    let planless = epp
+                        .sweep_impl(&sites, polarity, threads, &pool, None, backend, control)
+                        .unwrap();
                     assert_eq!(planless, planned, "{threads} threads ({polarity:?})");
                 }
             }
         }
         // The fallback checked out per-site workspaces, not sweep ones.
         assert!(pool.idle() >= 1);
+    }
+
+    #[test]
+    fn cancellable_sweep_observes_batches_and_stops_on_a_trip() {
+        let c = ser_gen_like_chain(200);
+        let epp = analysis(&c);
+        let pool = WorkspacePool::new();
+        let sites: Vec<NodeId> = c.node_ids().collect();
+        let whole = epp.sweep(1, &pool);
+        let tracked = PolarityMode::Tracked;
+        for threads in [1, 3] {
+            let seen = Mutex::new(Vec::new());
+            let observe = |done: usize| seen.lock().unwrap().push(done);
+            let watched = epp
+                .sweep_sites_cancellable(&sites, tracked, threads, &pool, None, Some(&observe))
+                .unwrap();
+            assert_eq!(watched, whole, "{threads} threads");
+            let seen = seen.into_inner().unwrap();
+            assert!(seen.len() >= 2, "batches at {threads} threads: {seen:?}");
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "{seen:?}");
+            assert_eq!(seen.last(), Some(&sites.len()));
+
+            // Tripped at the first batch: no worker claims another.
+            let token = CancelToken::new();
+            let trip = |_: usize| token.cancel();
+            let stopped = epp.sweep_sites_cancellable(
+                &sites,
+                tracked,
+                threads,
+                &pool,
+                Some(&token),
+                Some(&trip),
+            );
+            assert_eq!(stopped.err(), Some(CancelCause::Cancelled));
+        }
+        let expired = CancelToken::with_deadline(std::time::Instant::now());
+        let late = epp.sweep_sites_cancellable(&sites, tracked, 2, &pool, Some(&expired), None);
+        assert_eq!(late.err(), Some(CancelCause::DeadlineExceeded));
+        // Every worker gave its scratch back, cancelled or not.
+        assert!(pool.idle_sweep() >= 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # ser-service — the multi-circuit SER estimation daemon
 //!
 //! The ROADMAP's "heavy traffic" loop: keep many compiled circuits
-//! **warm** and serve typed estimation requests against them from one
-//! shared worker pool — in-process, over stdin/stdout, or over TCP.
+//! **warm** and serve typed estimation requests against them under one
+//! daemon-wide thread bound — in-process, over stdin/stdout, or over
+//! TCP.
 //!
 //! The pieces, bottom up:
 //!
@@ -17,10 +18,12 @@
 //!   rank → harden → re-rank loop. Every compute request is a [`Job`]
 //!   and enters through [`SerService::submit_batch`] (or its one-job
 //!   wrapper [`SerService::submit`]); a job may carry a [`Progress`]
-//!   sink and a [`CancelToken`](ser_netlist::CancelToken).
-//! - [`Executor`] — the shared FIFO worker pool every request fans out
-//!   onto, so concurrent sweeps on different circuits interleave
-//!   instead of serializing.
+//!   sink and a [`CancelToken`](ser_netlist::CancelToken). There is
+//!   one scheduler: a batch's jobs run through one cursor over scoped
+//!   workers, each computing thread holds one permit of a counting gate
+//!   sized by [`SerServiceConfig::threads`], and a sweep job runs on
+//!   `ser-epp`'s own cost-balanced batches, taking the free permits as
+//!   extra workers.
 //! - [`protocol`] — the versioned wire API: envelope requests
 //!   (`{"v": 2, "id": ..., "op": ...}` with nested parameters),
 //!   framed replies (`progress` / `chunk` / `result` / `error`),
@@ -45,9 +48,8 @@
 //!   and render with (the suite is offline; no serde).
 //!
 //! All of it rides on the owned-session redesign: sessions are
-//! `Send + Sync + 'static` `Arc` handles, so caching them, sharing them
-//! across connection threads and moving them into executor closures is
-//! safe by construction.
+//! `Send + Sync + 'static` `Arc` handles, so caching them and sharing
+//! them across connection and worker threads is safe by construction.
 //!
 //! # Examples
 //!
@@ -93,7 +95,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chaos;
-mod executor;
 pub mod jobs;
 pub mod json;
 pub mod net;
@@ -103,7 +104,6 @@ mod service;
 mod sync;
 
 pub use chaos::{ChaosLines, ChaosSchedule, ChaosTransport, ChaosWriter};
-pub use executor::Executor;
 pub use jobs::{json_escape, parse_flat_object, parse_job_line, v1_response_json, JobOp, JobSpec};
 pub use json::JsonValue;
 pub use net::{TcpShutdownHandle, TcpTransport, MAX_LINE_BYTES};

@@ -37,9 +37,9 @@ pub const SHUTDOWN_POLL: Duration = Duration::from_millis(200);
 pub const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(100);
 
 /// How long one frame write may stall before the connection is
-/// declared dead. Progress frames are written from shared executor
-/// workers, so a client that stops reading (full receive window)
-/// would otherwise block a worker indefinitely; with this timeout the
+/// declared dead. Progress frames are written from the request's
+/// compute workers, so a client that stops reading (full receive
+/// window) would otherwise block a worker indefinitely; with this timeout the
 /// worker stalls **at most once** per connection — the first failed
 /// write kills the [`FrameSink`] and every later send fails fast.
 pub const WRITE_STALL_LIMIT: Duration = Duration::from_secs(10);
@@ -195,7 +195,7 @@ impl Transport for TcpTransport {
                 stream.set_nodelay(true)?;
                 // A reply write that cannot make progress (client
                 // stopped reading) fails after this bound instead of
-                // pinning an executor worker forever.
+                // pinning a compute worker forever.
                 stream.set_write_timeout(Some(WRITE_STALL_LIMIT))?;
                 // The read half polls the shutdown flag; one socket,
                 // two handles (reads and writes don't contend).

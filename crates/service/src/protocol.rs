@@ -26,7 +26,7 @@
 //!   [`Transport`] trait ([`StdioTransport`] here,
 //!   [`TcpTransport`](crate::net::TcpTransport) in `net`), so the
 //!   protocol has no opinion about sockets, and progress frames can be
-//!   written from executor workers mid-request through the shared,
+//!   written from compute workers mid-request through the shared,
 //!   lock-protected [`FrameSink`].
 //! - **v1 shim** — a line with no `"v"` field is the old dialect; it
 //!   parses through [`crate::jobs`] and is answered in the old shape,
@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead as _, Read as _, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ser_epp::{Edit, PolarityMode, SweepResults, WhatIfOutcome};
@@ -55,7 +55,7 @@ use crate::request::{
     ServiceError, SiteRequest, SweepRequest,
 };
 use crate::service::{Job, Progress, ProgressFn, SerService};
-use crate::sync::{lock_clean, wait_clean};
+use crate::sync::{lock_clean, InflightGate};
 
 /// The protocol version this engine speaks. Version 1 is the
 /// unversioned flat dialect, recognized by the *absence* of a `"v"`
@@ -285,8 +285,8 @@ pub enum WireOp {
     /// target's result frame reports `found: false` and changes
     /// nothing.
     Cancel(CancelOp),
-    /// A nested array of analysis jobs served as one envelope: every
-    /// job's executor parts interleave on the shared workers, each job
+    /// A nested array of analysis jobs served as one envelope: the jobs
+    /// run concurrently under the service's thread bound, each job
     /// answers with its own id-echoed frames, and a final batch result
     /// frame summarizes the outcome.
     Batch(BatchOp),
@@ -311,7 +311,8 @@ pub struct BatchOp {
 
 impl BatchOp {
     /// Most jobs one `batch` envelope may carry; larger workloads
-    /// split across envelopes (the executor interleaves them anyway).
+    /// split across envelopes (concurrent envelopes share the service's
+    /// thread bound anyway).
     pub const MAX_JOBS: usize = 256;
 }
 
@@ -329,7 +330,7 @@ pub struct SweepOp {
     /// When set, page every site's `p_sensitized` into `chunk` frames
     /// of this many sites before the result frame.
     pub chunk_sites: Option<usize>,
-    /// Emit `progress` frames as sweep parts complete (default off —
+    /// Emit `progress` frames as sweep batches complete (default off —
     /// sweeps are usually fast; opt in for huge circuits).
     pub progress: bool,
 }
@@ -1067,15 +1068,15 @@ pub trait LineStream: Send {
 }
 
 /// The write half of a connection: a cloneable, thread-safe sink of
-/// response frames. Executor workers hold clones so sequential
-/// Monte-Carlo progress streams out *while the request runs*; the
-/// mutex keeps every frame line atomic on the wire.
+/// response frames. Compute workers hold clones so sweep and
+/// sequential Monte-Carlo progress streams out *while the request
+/// runs*; the mutex keeps every frame line atomic on the wire.
 ///
 /// A sink that errors once is **dead**: every later [`send`]
 /// fails fast without touching the writer. Combined with the TCP
 /// transport's write timeout, this bounds how long a client that has
-/// stopped reading can block a shared executor worker mid-stream — one
-/// stalled write, then nothing.
+/// stopped reading can block a compute worker mid-stream — one stalled
+/// write, then nothing.
 ///
 /// [`send`]: FrameSink::send
 #[derive(Clone)]
@@ -1265,40 +1266,6 @@ pub struct EngineConfig {
     pub max_inflight: usize,
 }
 
-/// Counting gate bounding concurrently executing requests.
-#[derive(Debug)]
-struct InflightGate {
-    limit: usize,
-    active: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl InflightGate {
-    fn acquire(&self) -> InflightPermit<'_> {
-        if self.limit > 0 {
-            let mut active = lock_clean(&self.active);
-            while *active >= self.limit {
-                active = wait_clean(&self.freed, active);
-            }
-            *active += 1;
-        }
-        InflightPermit { gate: self }
-    }
-}
-
-struct InflightPermit<'a> {
-    gate: &'a InflightGate,
-}
-
-impl Drop for InflightPermit<'_> {
-    fn drop(&mut self) {
-        if self.gate.limit > 0 {
-            *lock_clean(&self.gate.active) -= 1;
-            self.gate.freed.notify_one();
-        }
-    }
-}
-
 /// Per-connection protocol state.
 #[derive(Debug, Default)]
 struct ConnState {
@@ -1386,11 +1353,7 @@ impl ProtocolEngine {
     #[must_use]
     pub fn new(service: Arc<SerService>, config: EngineConfig) -> Self {
         ProtocolEngine {
-            inflight: InflightGate {
-                limit: config.max_inflight,
-                active: Mutex::new(0),
-                freed: Condvar::new(),
-            },
+            inflight: InflightGate::new(config.max_inflight),
             service,
             config,
             circuits: Mutex::new(NetlistCache::default()),
@@ -1409,7 +1372,7 @@ impl ProtocolEngine {
     /// leaked permit would eventually wedge the gate shut.
     #[must_use]
     pub fn inflight_active(&self) -> usize {
-        *lock_clean(&self.inflight.active)
+        self.inflight.active()
     }
 
     /// Request ids with live cancel registrations. Like
@@ -1805,8 +1768,8 @@ impl ProtocolEngine {
     /// Serves a `batch` op: every job is resolved up front (any
     /// resolution failure rejects the whole batch before any work is
     /// enqueued), then all jobs run through [`run_jobs`](Self::run_jobs)
-    /// together, so their executor parts interleave on the shared
-    /// workers, and one batch-level result frame closes the envelope.
+    /// together, so they compute concurrently under the service's thread
+    /// bound, and one batch-level result frame closes the envelope.
     ///
     /// Cancellation: each job's token registers under the job's own id
     /// *and* under the batch envelope's id, so a client can cancel one

@@ -203,10 +203,10 @@ pub enum ServiceError {
     /// explicit `cancel` or an expired deadline. Partial results were
     /// dropped, never cached or spliced.
     Cancelled(ser_netlist::CancelCause),
-    /// The service itself failed: a worker thread died before
-    /// reporting its parts. The request is lost but the daemon keeps
-    /// serving — this maps to the wire's `internal` code instead of
-    /// panicking the collector thread.
+    /// The service itself failed: the job panicked mid-compute (a
+    /// panicking progress sink, say). The job is lost but its batch
+    /// neighbours and the daemon keep serving — this maps to the wire's
+    /// `internal` code instead of unwinding out of the request.
     Internal(String),
 }
 

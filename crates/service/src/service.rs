@@ -3,36 +3,38 @@
 //! [`SerService`] is the ROADMAP's "heavy traffic" loop made concrete:
 //! compiled [`AnalysisSession`]s are kept warm in a bounded LRU keyed
 //! by [`Circuit::structural_hash`], and every request — sweep, site,
-//! multi-cycle, Monte-Carlo — runs as small jobs on **one shared
-//! executor**, so concurrent requests against different circuits
-//! interleave across the worker pool instead of serializing.
+//! multi-cycle, Monte-Carlo — is a job of [`SerService::submit_batch`].
+//! A batch's jobs run through one cursor over scoped workers, and
+//! every computing thread of the daemon holds one permit of a single
+//! counting gate sized by [`SerServiceConfig::threads`]. A sweep runs
+//! on `ser-epp`'s own scheduler, with the permits that are free as
+//! extra workers.
 //!
 //! The service exists because the session layer became *owned*: an
 //! `Arc<AnalysisSession>` is `Send + Sync + 'static`, so it can sit in
-//! a cache, be handed to any number of concurrent requests, and be
-//! moved into executor closures — none of which the old
-//! `AnalysisSession<'circuit>` could do.
+//! a cache and be handed to any number of concurrent requests — none
+//! of which the old `AnalysisSession<'circuit>` could do.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use ser_epp::{
     multi_cycle_monte_carlo, multi_cycle_monte_carlo_sequential_cancellable, AnalysisSession, Edit,
-    MultiCycleMcAbort, MultiCycleMcEstimate, MultiCycleResult, PolarityMode, SiteEpp, SweepResults,
-    WhatIfAbort, WhatIfOutcome, WhatIfSession,
+    MultiCycleMcAbort, MultiCycleMcEstimate, PolarityMode, SweepResults, WhatIfAbort,
+    WhatIfOutcome, WhatIfSession, SINGLE_THREAD_SWEEP_THRESHOLD,
 };
 use ser_netlist::{CancelToken, Circuit, NodeId, PlanCache};
-use ser_sim::{MonteCarlo, SequentialMonteCarlo, SiteEstimate};
+use ser_sim::{MonteCarlo, SequentialMonteCarlo};
 use ser_sp::{InputProbs, SpVector};
 
-use crate::executor::Executor;
 use crate::request::{
     MultiCycleRequest, Request, Response, ResponseMeta, ResponsePayload, ServiceError, SiteRequest,
 };
-use crate::sync::lock_clean;
+use crate::sync::{lock_clean, InflightGate};
 
 /// Tuning knobs of a [`SerService`].
 #[derive(Debug, Clone)]
@@ -40,12 +42,11 @@ pub struct SerServiceConfig {
     /// Warm sessions kept in the LRU; the least-recently-used session
     /// is evicted when a new circuit arrives at capacity. Must be ≥ 1.
     pub max_sessions: usize,
-    /// Executor worker threads. Must be ≥ 1.
+    /// Compute threads, daemon-wide: across every caller of
+    /// [`SerService::submit_batch`], at most this many threads compute
+    /// at once. A job waits for one permit; a sweep then takes the
+    /// permits that are free as extra workers. Must be ≥ 1.
     pub threads: usize,
-    /// Sites per executor job when a sweep is fanned out. Smaller
-    /// batches interleave better with concurrent requests; larger
-    /// batches have less queue overhead. Must be ≥ 1.
-    pub sweep_batch_sites: usize,
     /// Whole-circuit sweep responses kept in the cross-request cache
     /// (LRU, keyed by `(netlist hash, inputs revision, polarity)`).
     /// `0` disables response caching.
@@ -68,8 +69,8 @@ pub struct SerServiceConfig {
     /// Largest Monte-Carlo vector count one request may ask for
     /// (fixed-count or sequential-rule cap alike). Requests over the
     /// ceiling are rejected with [`ServiceError::CapExceeded`] *before*
-    /// any executor job is enqueued, so one greedy client cannot pin a
-    /// worker for hours. Must be ≥ 1.
+    /// the request computes anything, so one greedy client cannot pin a
+    /// thread for hours. Must be ≥ 1.
     pub max_vectors: u64,
     /// Largest multi-cycle frame-expansion depth one request may ask
     /// for. Same up-front rejection discipline. Must be ≥ 1.
@@ -91,7 +92,6 @@ impl Default for SerServiceConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            sweep_batch_sites: 256,
             max_sweep_responses: 32,
             plan_cache_dir: None,
             plan_cache_max_bytes: None,
@@ -118,7 +118,7 @@ pub struct ServiceStats {
     /// Sessions currently cached.
     pub sessions_cached: usize,
     /// Whole-circuit sweep requests served straight from the
-    /// cross-request response cache (no executor jobs at all).
+    /// cross-request response cache (no kernel run at all).
     pub sweep_cache_hits: u64,
     /// Cacheable sweep requests that had to run (and then populated
     /// the cache).
@@ -126,7 +126,7 @@ pub struct ServiceStats {
     /// Sweep responses currently cached.
     pub sweep_responses_cached: usize,
     /// `site` requests answered from a current cached whole-circuit
-    /// sweep (no executor job, no kernel). These lookups never count
+    /// sweep (no kernel run). These lookups never count
     /// as sweep-cache hits or misses.
     pub site_cache_hits: u64,
     /// Session compiles whose cone plans were loaded from the
@@ -247,7 +247,7 @@ impl std::fmt::Debug for WhatIfCache {
 }
 
 /// The multi-circuit SER service: warm sessions in a bounded LRU, and
-/// every request fanned out onto one shared executor.
+/// every request computed under one daemon-wide thread bound.
 ///
 /// # Examples
 ///
@@ -271,7 +271,8 @@ impl std::fmt::Debug for WhatIfCache {
 #[derive(Debug)]
 pub struct SerService {
     config: SerServiceConfig,
-    executor: Executor,
+    /// One permit per computing thread ([`SerServiceConfig::threads`]).
+    permits: InflightGate,
     cache: Mutex<SessionCache>,
     sweep_cache: Mutex<SweepCache>,
     /// Last `set_inputs` distribution per netlist hash — consulted when
@@ -320,7 +321,7 @@ impl std::fmt::Debug for SweepCache {
 /// [`Response`] contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Progress {
-    /// A sweep's executor parts completing; `sites_done` is cumulative.
+    /// A sweep's batches completing; `sites_done` is cumulative.
     Sweep {
         /// Sites evaluated so far.
         sites_done: usize,
@@ -338,28 +339,30 @@ pub enum Progress {
     },
 }
 
-/// A progress callback. Invoked from executor workers (Monte-Carlo)
-/// and from the collecting thread (sweep parts), so it must be
-/// `Send + Sync`; keep it cheap — it runs on the request's hot path.
+/// A progress callback. Invoked from whichever thread computes the job,
+/// and for a sweep from whichever of its workers finished a batch (one
+/// call at a time), so it must be `Send + Sync`; keep it cheap — it
+/// runs on the request's hot path. A panicking sink fails only its own
+/// job, with [`ServiceError::Internal`].
 pub type ProgressFn = Arc<dyn Fn(Progress) + Send + Sync>;
 
 /// One job of a [`SerService::submit_batch`]: the circuit, the typed
 /// request, and the job's own optional progress sink and cooperative
 /// [`CancelToken`].
 ///
-/// With a sink, the job streams [`Progress`] while it runs: sweep part
-/// completions as they are collected, and — for sequential
-/// Monte-Carlo legs — interim trial counters from the worker at
-/// doubling vector thresholds (first at
+/// With a sink, the job streams [`Progress`] while it runs: the sweep's
+/// batch completions as cumulative site counts, and — for sequential
+/// Monte-Carlo legs — interim trial counters at doubling vector
+/// thresholds (first at
 /// [`MC_PROGRESS_FIRST_AT`](SerService::MC_PROGRESS_FIRST_AT)).
 /// Progress observes the run, it never reshapes it; requests served
 /// from the response cache complete without events.
 ///
-/// With a token, the job polls it between executor parts (sweep site
-/// batches), between Monte-Carlo observation blocks, at the
-/// multi-cycle simulation's block boundaries and inside a cold
+/// With a token, the job polls it before it starts computing, before
+/// each sweep batch is claimed, between Monte-Carlo observation blocks,
+/// at the multi-cycle simulation's block boundaries and inside a cold
 /// session's plan compile. A trip fails the job with
-/// [`ServiceError::Cancelled`], drops its partial parts and populates
+/// [`ServiceError::Cancelled`], drops its partial results and populates
 /// **no** cache.
 pub struct Job {
     /// The circuit the request runs against.
@@ -396,37 +399,21 @@ impl std::fmt::Debug for Job {
     }
 }
 
-/// One executor job's output, tagged `(job, part)` for reassembly.
-enum Part {
-    Sweep(SweepResults),
-    Site(SiteEpp),
-    MultiCycle(MultiCycleResult, Option<MultiCycleMcEstimate>),
-    MonteCarlo(SiteEstimate),
-}
-
-/// `(job, part, result, completed_at)` — the timestamp is taken by the
-/// worker the moment the part finishes, so per-job wall time never
-/// includes time spent preparing or collecting *other* jobs.
-type PartMsg = (usize, usize, Result<Part, ServiceError>, Instant);
-
-/// A validated job waiting for its parts.
+/// A validated job: its resolved session, and its outcome once it has
+/// one (set while preparing when a cache answers it, otherwise by the
+/// worker that computed it).
 struct Prepared {
     session: Arc<AnalysisSession>,
     warm: bool,
     started: Instant,
-    /// Number of executor jobs this request fans out to.
-    parts: usize,
     request: Request,
-    /// A response served straight from the sweep cache (no parts).
-    cached: Option<ResponsePayload>,
-    /// When set, the assembled sweep response populates the cache
-    /// under this key, pinned to this SP vector.
+    /// When set, the computed sweep response populates the cache under
+    /// this key, pinned to this SP vector.
     cache_key: Option<(SweepKey, Arc<SpVector>)>,
-    /// Progress sink, when the submitter asked for streaming.
     progress: Option<ProgressFn>,
-    /// Total sweep sites (for [`Progress::Sweep`] events; 0 for
-    /// non-sweep requests).
-    sweep_sites_total: usize,
+    cancel: Option<CancelToken>,
+    /// The payload (or error) and when it was ready.
+    done: OnceLock<(Result<ResponsePayload, ServiceError>, Instant)>,
 }
 
 impl SerService {
@@ -443,10 +430,7 @@ impl SerService {
     #[must_use]
     pub fn new(config: SerServiceConfig) -> Self {
         assert!(config.max_sessions > 0, "cache at least one session");
-        assert!(
-            config.sweep_batch_sites > 0,
-            "batches need at least one site"
-        );
+        assert!(config.threads > 0, "at least one compute thread");
         assert!(config.max_vectors > 0, "allow at least one vector");
         assert!(config.max_cycles > 0, "allow at least one cycle");
         assert!(config.max_runs > 0, "allow at least one run");
@@ -455,7 +439,7 @@ impl SerService {
             "cache at least one what-if session"
         );
         SerService {
-            executor: Executor::new(config.threads),
+            permits: InflightGate::new(config.threads),
             plan_cache: config
                 .plan_cache_dir
                 .clone()
@@ -921,8 +905,8 @@ impl SerService {
     }
 
     /// Serves one request: a one-job [`submit_batch`](Self::submit_batch)
-    /// with no progress sink and no cancel token. The request's parts
-    /// still fan out across the shared executor.
+    /// with no progress sink and no cancel token. A sweep still fans out
+    /// onto the free compute permits.
     ///
     /// # Errors
     ///
@@ -941,105 +925,71 @@ impl SerService {
             })
     }
 
-    /// Serves a batch of jobs, possibly against different circuits.
-    /// Every job's parts are enqueued up front, so sweeps on distinct
-    /// circuits run interleaved on the shared workers; the responses
-    /// come back in submission order.
+    /// Serves a batch of jobs, possibly against different circuits;
+    /// the responses come back in submission order.
+    ///
+    /// Sessions are resolved and the caches consulted on the calling
+    /// thread, in submission order. The jobs left over run through one
+    /// cursor over `min(threads, jobs)` workers, the calling thread
+    /// among them. Each job waits for one compute permit; a sweep then
+    /// takes every permit that is free as an extra worker of its own
+    /// cost-balanced batches. No thread waits for a permit while it
+    /// holds one.
     ///
     /// Results are **bit-identical** to running each request directly
-    /// on its session: the sweep fan-out re-partitions sites across
-    /// parts, but each site is evaluated by the same plan kernel over
-    /// the same shared artifacts. Jobs are independent: a failed or
-    /// cancelled job never disturbs its neighbours — their parts keep
-    /// running and their responses stay bit-identical to a solo run.
+    /// on its session, whatever the thread count. Jobs are independent:
+    /// a failed, cancelled or panicking job never disturbs its
+    /// neighbours — a panic answers its own job with
+    /// [`ServiceError::Internal`], and the other responses stay
+    /// bit-identical to a solo run.
     #[must_use]
     pub fn submit_batch(&self, jobs: Vec<Job>) -> Vec<Result<Response, ServiceError>> {
-        let (tx, rx) = mpsc::channel::<PartMsg>();
-        let mut prepared: Vec<Result<Prepared, ServiceError>> = Vec::with_capacity(jobs.len());
-
-        for (job_idx, job) in jobs.into_iter().enumerate() {
-            prepared.push(self.prepare(job, job_idx, &tx));
-        }
-        drop(tx);
-
-        // Collect every part; per-job wall time runs from the job's own
-        // submission to the worker-side completion stamp of its slowest
-        // part — never inflated by neighbouring jobs' compiles or by
-        // when this thread got around to draining the channel.
-        let expected: usize = prepared
+        let prepared: Vec<Result<Prepared, ServiceError>> =
+            jobs.into_iter().map(|job| self.prepare(job)).collect();
+        let pending: Vec<&Prepared> = prepared
             .iter()
-            .map(|p| p.as_ref().map(|p| p.parts).unwrap_or(0))
-            .sum();
-        let mut parts: Vec<Vec<(usize, Result<Part, ServiceError>)>> =
-            prepared.iter().map(|_| Vec::new()).collect();
-        let mut walls: Vec<Duration> = prepared
-            .iter()
-            .map(|p| match p {
-                // Jobs with no executor parts (e.g. an empty site list)
-                // are complete as soon as they were prepared.
-                Ok(p) if p.parts == 0 => p.started.elapsed(),
-                _ => Duration::ZERO,
-            })
+            .flatten()
+            .filter(|prep| prep.done.get().is_none())
             .collect();
-        let mut sites_done: Vec<usize> = vec![0; prepared.len()];
-        for _ in 0..expected {
-            // A worker that panics dies without sending; its `tx` clone
-            // drops and `recv` errors once the live parts are drained.
-            // Stop collecting — the part-count check below converts the
-            // shortfall into a structured `Internal` error for the
-            // affected job instead of panicking the collector (and,
-            // through a poisoned lock, the whole daemon).
-            let Ok((job_idx, part_idx, part, completed_at)) = rx.recv() else {
-                break;
-            };
-            if let Ok(prep) = &prepared[job_idx] {
-                walls[job_idx] =
-                    walls[job_idx].max(completed_at.saturating_duration_since(prep.started));
-                // Sweep parts double as progress ticks: report them as
-                // they land, from this (collecting) thread.
-                if let (Some(sink), Ok(Part::Sweep(results))) = (&prep.progress, &part) {
-                    sites_done[job_idx] += results.len();
-                    sink(Progress::Sweep {
-                        sites_done: sites_done[job_idx],
-                        sites_total: prep.sweep_sites_total,
-                    });
-                }
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            while let Some(prep) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let outcome = self.run(prep);
+                let _ = prep.done.set((outcome, Instant::now()));
             }
-            parts[job_idx].push((part_idx, part));
-        }
+        };
+        std::thread::scope(|scope| {
+            // A refused spawn only means fewer workers: the calling
+            // thread drains the cursor regardless.
+            for _ in 1..self.config.threads.min(pending.len()) {
+                let _ = std::thread::Builder::new()
+                    .name("ser-service-worker".into())
+                    .spawn_scoped(scope, work);
+            }
+            work();
+        });
 
         let responses: Vec<Result<Response, ServiceError>> = prepared
             .into_iter()
-            .zip(parts)
-            .zip(walls)
-            .map(|((prep, mut parts), wall)| {
+            .map(|prep| {
                 let prep = prep?;
-                let payload = match prep.cached {
-                    Some(payload) => payload,
-                    None => {
-                        if parts.len() != prep.parts {
-                            return Err(ServiceError::Internal(format!(
-                                "a worker died mid-request: {} of {} parts reported",
-                                parts.len(),
-                                prep.parts
-                            )));
-                        }
-                        parts.sort_unstable_by_key(|&(idx, _)| idx);
-                        let payload = assemble(&prep.request, parts)?;
-                        if let (Some((key, sp)), ResponsePayload::Sweep(results)) =
-                            (prep.cache_key, &payload)
-                        {
-                            self.sweep_cache_put(key, sp, Arc::clone(results));
-                        }
-                        payload
-                    }
+                let Some((payload, done_at)) = prep.done.into_inner() else {
+                    return Err(ServiceError::Internal(
+                        "a job finished without an outcome".into(),
+                    ));
                 };
+                let payload = payload?;
+                if let (Some((key, sp)), ResponsePayload::Sweep(results)) =
+                    (prep.cache_key, &payload)
+                {
+                    self.sweep_cache_put(key, sp, Arc::clone(results));
+                }
                 Ok(Response {
                     meta: ResponseMeta {
                         circuit: prep.session.circuit().name().to_owned(),
                         netlist_hash: prep.session.circuit().structural_hash(),
                         warm_session: prep.warm,
-                        wall,
+                        wall: done_at.saturating_duration_since(prep.started),
                     },
                     payload,
                 })
@@ -1060,14 +1010,9 @@ impl SerService {
     /// progress bar, bounded even for million-vector runs.
     pub const MC_PROGRESS_FIRST_AT: u64 = 256;
 
-    /// Validates one request, resolves its session and enqueues its
-    /// executor jobs. Returns the bookkeeping needed to reassemble.
-    fn prepare(
-        &self,
-        job: Job,
-        job_idx: usize,
-        tx: &mpsc::Sender<PartMsg>,
-    ) -> Result<Prepared, ServiceError> {
+    /// Validates one request, resolves its session and answers it from
+    /// the response cache when it can.
+    fn prepare(&self, job: Job) -> Result<Prepared, ServiceError> {
         let started = Instant::now();
         let Job {
             circuit,
@@ -1075,15 +1020,13 @@ impl SerService {
             progress,
             cancel,
         } = job;
-        if let Some(token) = &cancel {
-            token.check().map_err(ServiceError::Cancelled)?;
-        }
+        check(cancel.as_ref())?;
         validate(&circuit, &request, &self.config)?;
         let (session, warm) = self.session_cancellable(&circuit, cancel.as_ref())?;
 
         // Whole-circuit sweeps are a pure function of the netlist, the
         // SP vector and the polarity — serve repeats (and the sites they
-        // cover) straight from the response cache, enqueueing nothing.
+        // cover) straight from the response cache.
         let mut cache_key = None;
         let hit = match &request {
             Request::Sweep(req) if req.sites.is_none() && self.config.max_sweep_responses > 0 => {
@@ -1100,7 +1043,7 @@ impl SerService {
             }
             // A site's EPP is the same bits in the plan sweep as in the
             // per-site kernel, so a current tracked-polarity sweep
-            // answers it: no executor hop, no kernel.
+            // answers it: no kernel run.
             Request::Site(SiteRequest { site }) if self.config.max_sweep_responses > 0 => {
                 let key = (circuit.structural_hash(), PolarityMode::Tracked);
                 let epp = self
@@ -1113,152 +1056,123 @@ impl SerService {
             }
             _ => None,
         };
+        let done = OnceLock::new();
         if let Some(payload) = hit {
-            return Ok(Prepared {
-                session,
-                warm,
-                started,
-                parts: 0,
-                request,
-                cached: Some(payload),
-                cache_key: None,
-                progress: None,
-                sweep_sites_total: 0,
-            });
+            let _ = done.set((Ok(payload), Instant::now()));
         }
-
-        let mut sweep_sites_total = 0;
-        let parts = match &request {
-            Request::Sweep(req) => {
-                let sites: Vec<NodeId> = match &req.sites {
-                    Some(sites) => sites.clone(),
-                    None => circuit.node_ids().collect(),
-                };
-                sweep_sites_total = sites.len();
-                let polarity = req.polarity;
-                let batches: Vec<Vec<NodeId>> = sites
-                    .chunks(self.config.sweep_batch_sites)
-                    .map(<[NodeId]>::to_vec)
-                    .collect();
-                let n_parts = batches.len();
-                for (part_idx, batch) in batches.into_iter().enumerate() {
-                    let session = Arc::clone(&session);
-                    let tx = tx.clone();
-                    let cancel = cancel.clone();
-                    self.executor.spawn(move || {
-                        // Cancelled jobs still send their part — the
-                        // collector blocks for exactly `parts` messages,
-                        // so a silent return would hang the batch.
-                        let part = match check(cancel.as_ref()) {
-                            Err(e) => Err(e),
-                            Ok(()) => {
-                                let epp = session.epp();
-                                Ok(Part::Sweep(epp.sweep_sites_with(
-                                    &batch,
-                                    polarity,
-                                    1,
-                                    session.workspace_pool(),
-                                )))
-                            }
-                        };
-                        let _ = tx.send((job_idx, part_idx, part, Instant::now()));
-                    });
-                }
-                n_parts
-            }
-            Request::Site(SiteRequest { site }) => {
-                let site = *site;
-                let session = Arc::clone(&session);
-                let tx = tx.clone();
-                let cancel = cancel.clone();
-                self.executor.spawn(move || {
-                    let part = match check(cancel.as_ref()) {
-                        Err(e) => Err(e),
-                        Ok(()) => Ok(Part::Site(session.site(site))),
-                    };
-                    let _ = tx.send((job_idx, 0, part, Instant::now()));
-                });
-                1
-            }
-            Request::MultiCycle(req) => {
-                let req = *req;
-                let session = Arc::clone(&session);
-                let tx = tx.clone();
-                let sink = progress.clone();
-                let cancel = cancel.clone();
-                self.executor.spawn(move || {
-                    let part = multi_cycle_part(&session, &req, sink, cancel.as_ref());
-                    let _ = tx.send((job_idx, 0, part, Instant::now()));
-                });
-                1
-            }
-            Request::MonteCarlo(req) => {
-                let req = *req;
-                let session = Arc::clone(&session);
-                let tx = tx.clone();
-                let sink = progress.clone();
-                let cancel = cancel.clone();
-                self.executor.spawn(move || {
-                    let part = (|| {
-                        check(cancel.as_ref())?;
-                        let estimate = match req.target_error {
-                            Some(eps) => {
-                                let rule = SequentialMonteCarlo::new(eps)
-                                    .with_seed(req.seed)
-                                    .with_max_vectors(req.vectors);
-                                // The trial counters are reported at
-                                // doubling vector thresholds when
-                                // streaming; the observer cannot perturb
-                                // the run (bit-identical), and the token
-                                // is polled at the same block cadence.
-                                let mut next = SerService::MC_PROGRESS_FIRST_AT;
-                                rule.estimate_site_cancellable(
-                                    session.bit_sim(),
-                                    req.site,
-                                    cancel.as_ref(),
-                                    |vectors, sensitized| {
-                                        if let Some(sink) = &sink {
-                                            if vectors >= next {
-                                                while next <= vectors {
-                                                    next = next.saturating_mul(2);
-                                                }
-                                                sink(Progress::MonteCarlo {
-                                                    vectors,
-                                                    sensitized,
-                                                });
-                                            }
-                                        }
-                                    },
-                                )
-                                .map_err(ServiceError::Cancelled)?
-                            }
-                            None => MonteCarlo::new(req.vectors)
-                                .with_seed(req.seed)
-                                .estimate_site(session.bit_sim(), req.site),
-                        };
-                        Ok(Part::MonteCarlo(estimate))
-                    })();
-                    let _ = tx.send((job_idx, 0, part, Instant::now()));
-                });
-                1
-            }
-        };
         Ok(Prepared {
             session,
             warm,
             started,
-            parts,
             request,
-            cached: None,
             cache_key,
             progress,
-            sweep_sites_total,
+            cancel,
+            done,
         })
+    }
+
+    /// Computes one prepared job: waits for a compute permit, then runs
+    /// the job behind a panic fence, so a panic fails this job alone.
+    fn run(&self, prep: &Prepared) -> Result<ResponsePayload, ServiceError> {
+        let _permit = self.permits.acquire();
+        catch_unwind(AssertUnwindSafe(|| self.compute(prep))).unwrap_or_else(|panic| {
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            Err(ServiceError::Internal(format!("the job panicked: {what}")))
+        })
+    }
+
+    fn compute(&self, prep: &Prepared) -> Result<ResponsePayload, ServiceError> {
+        let (session, cancel) = (&prep.session, prep.cancel.as_ref());
+        check(cancel)?;
+        match &prep.request {
+            Request::Sweep(req) => {
+                let all: Vec<NodeId>;
+                let sites = match &req.sites {
+                    Some(sites) => sites,
+                    None => {
+                        all = session.circuit().node_ids().collect();
+                        &all
+                    }
+                };
+                // Free permits join as extra workers; none is waited for.
+                let wanted = if sites.len() >= SINGLE_THREAD_SWEEP_THRESHOLD {
+                    self.config.threads - 1
+                } else {
+                    0
+                };
+                let extra = self.permits.try_acquire(wanted);
+                let sites_total = sites.len();
+                let observer = prep.progress.as_ref().map(|sink| {
+                    move |sites_done| {
+                        sink(Progress::Sweep {
+                            sites_done,
+                            sites_total,
+                        });
+                    }
+                });
+                let results = session
+                    .epp()
+                    .sweep_sites_cancellable(
+                        sites,
+                        req.polarity,
+                        1 + extra.count(),
+                        session.workspace_pool(),
+                        cancel,
+                        observer.as_ref().map(|f| f as &(dyn Fn(usize) + Sync)),
+                    )
+                    .map_err(ServiceError::Cancelled)?;
+                Ok(ResponsePayload::Sweep(Arc::new(results)))
+            }
+            Request::Site(SiteRequest { site }) => Ok(ResponsePayload::Site(session.site(*site))),
+            Request::MultiCycle(req) => multi_cycle(session, req, prep.progress.as_ref(), cancel),
+            Request::MonteCarlo(req) => {
+                let estimate = match req.target_error {
+                    Some(eps) => {
+                        let rule = SequentialMonteCarlo::new(eps)
+                            .with_seed(req.seed)
+                            .with_max_vectors(req.vectors);
+                        // The trial counters are reported at doubling
+                        // vector thresholds when streaming; the observer
+                        // cannot perturb the run (bit-identical), and the
+                        // token is polled at the same block cadence.
+                        let mut next = SerService::MC_PROGRESS_FIRST_AT;
+                        rule.estimate_site_cancellable(
+                            session.bit_sim(),
+                            req.site,
+                            cancel,
+                            |vectors, sensitized| {
+                                if let Some(sink) = &prep.progress {
+                                    if vectors >= next {
+                                        while next <= vectors {
+                                            next = next.saturating_mul(2);
+                                        }
+                                        sink(Progress::MonteCarlo {
+                                            vectors,
+                                            sensitized,
+                                        });
+                                    }
+                                }
+                            },
+                        )
+                        .map_err(ServiceError::Cancelled)?
+                    }
+                    None => MonteCarlo::new(req.vectors)
+                        .with_seed(req.seed)
+                        .estimate_site(session.bit_sim(), req.site),
+                };
+                Ok(ResponsePayload::MonteCarlo(estimate))
+            }
+        }
     }
 }
 
-/// One executor job's cooperative token poll: `Ok` with no token or a
-/// live one, [`ServiceError::Cancelled`] once the token trips.
+/// A cooperative token poll: `Ok` with no token or a live one,
+/// [`ServiceError::Cancelled`] once the token trips.
 fn check(cancel: Option<&CancelToken>) -> Result<(), ServiceError> {
     match cancel {
         Some(token) => token.check().map_err(ServiceError::Cancelled),
@@ -1279,13 +1193,12 @@ fn same_circuit(cached: &Arc<Circuit>, submitted: &Arc<Circuit>) -> bool {
 /// progress sink, the sequential (Mendo-rule) simulation reports its
 /// run counters at the same doubling thresholds as the single-cycle
 /// Monte-Carlo leg — same observer, same cadence, bit-identical result.
-fn multi_cycle_part(
+fn multi_cycle(
     session: &AnalysisSession,
     req: &MultiCycleRequest,
-    progress: Option<ProgressFn>,
+    progress: Option<&ProgressFn>,
     cancel: Option<&CancelToken>,
-) -> Result<Part, ServiceError> {
-    check(cancel)?;
+) -> Result<ResponsePayload, ServiceError> {
     // The frame-expansion tables are compiled once per session per SP
     // revision (`multi_cycle_cached`), so repeated multi-cycle requests
     // against a warm session skip the per-flip-flop sweep entirely.
@@ -1303,7 +1216,7 @@ fn multi_cycle_part(
                     mc.runs,
                     mc.seed,
                     &mut |runs, successes| {
-                        if let Some(sink) = &progress {
+                        if let Some(sink) = progress {
                             if runs >= next {
                                 while next <= runs {
                                     next = next.saturating_mul(2);
@@ -1339,11 +1252,14 @@ fn multi_cycle_part(
             }
         }),
     };
-    Ok(Part::MultiCycle(analytic, monte_carlo))
+    Ok(ResponsePayload::MultiCycle {
+        analytic,
+        monte_carlo,
+    })
 }
 
-/// Rejects malformed requests before any job is enqueued, so executor
-/// jobs never panic — and enforces the operator-configured work
+/// Rejects malformed requests before any job computes, so a job's
+/// kernels never see an out-of-range site — and enforces the operator-configured work
 /// ceilings (`max_vectors` / `max_cycles` / `max_runs`) at the same
 /// chokepoint, so an over-cap request is refused before it costs
 /// anything.
@@ -1411,60 +1327,13 @@ fn validate(
     }
 }
 
-/// Reassembles a request's parts (already in part order) into its
-/// response payload.
-fn assemble(
-    request: &Request,
-    parts: Vec<(usize, Result<Part, ServiceError>)>,
-) -> Result<ResponsePayload, ServiceError> {
-    match request {
-        Request::Sweep(_) => {
-            let mut arenas = Vec::with_capacity(parts.len());
-            for (_, part) in parts {
-                match part? {
-                    Part::Sweep(results) => arenas.push(results),
-                    _ => unreachable!("sweep jobs produce sweep parts"),
-                }
-            }
-            Ok(ResponsePayload::Sweep(Arc::new(SweepResults::concat(
-                arenas,
-            ))))
-        }
-        Request::Site(_) => match single(parts)? {
-            Part::Site(site) => Ok(ResponsePayload::Site(site)),
-            _ => unreachable!("site jobs produce site parts"),
-        },
-        Request::MultiCycle(_) => match single(parts)? {
-            Part::MultiCycle(analytic, monte_carlo) => Ok(ResponsePayload::MultiCycle {
-                analytic,
-                monte_carlo,
-            }),
-            _ => unreachable!("multi-cycle jobs produce multi-cycle parts"),
-        },
-        Request::MonteCarlo(_) => match single(parts)? {
-            Part::MonteCarlo(estimate) => Ok(ResponsePayload::MonteCarlo(estimate)),
-            _ => unreachable!("monte-carlo jobs produce monte-carlo parts"),
-        },
-    }
-}
-
-fn single(parts: Vec<(usize, Result<Part, ServiceError>)>) -> Result<Part, ServiceError> {
-    debug_assert_eq!(parts.len(), 1, "single-part request");
-    match parts.into_iter().next() {
-        Some((_, part)) => part,
-        None => Err(ServiceError::Internal(
-            "single-part request reported no parts".into(),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Regression: with `capacity == 0` and an empty map there is
     /// nothing to evict — this used to `.expect("non-empty cache")`
-    /// on the empty LRU scan and panic the daemon's collector thread.
+    /// on the empty LRU scan and panic the request thread.
     #[test]
     fn evict_at_zero_capacity_on_empty_map_does_not_panic() {
         let mut entries: HashMap<String, u64> = HashMap::new();

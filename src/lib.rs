@@ -11,7 +11,7 @@
 //! | [`sp`] | `ser-sp` | signal-probability engines |
 //! | [`epp`] | `ser-epp` | the paper's EPP computation and the SER model |
 //! | [`gen`] | `ser-gen` | benchmark circuits and generators |
-//! | [`service`] | `ser-service` | multi-circuit batch service: warm session LRU + shared executor |
+//! | [`service`] | `ser-service` | multi-circuit batch service: warm session LRU + one bounded scheduler |
 //!
 //! # Examples
 //!

@@ -79,7 +79,6 @@ fn engine() -> Arc<ProtocolEngine> {
         Arc::new(SerService::new(SerServiceConfig {
             max_sessions: 4,
             threads: 2,
-            sweep_batch_sites: 4,
             max_sweep_responses: 8,
             plan_cache_dir: None,
             plan_cache_max_bytes: None,

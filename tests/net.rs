@@ -29,7 +29,6 @@ impl Server {
         let service = Arc::new(SerService::new(SerServiceConfig {
             max_sessions: 4,
             threads: 2,
-            sweep_batch_sites: 8,
             max_sweep_responses: 8,
             plan_cache_dir: None,
             plan_cache_max_bytes: None,

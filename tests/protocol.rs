@@ -71,7 +71,6 @@ fn engine_with(config: EngineConfig) -> ProtocolEngine {
         Arc::new(SerService::new(SerServiceConfig {
             max_sessions: 4,
             threads: 2,
-            sweep_batch_sites: 4, // many parts per sweep
             max_sweep_responses: 8,
             plan_cache_dir: None,
             plan_cache_max_bytes: None,

@@ -53,7 +53,7 @@ fn owned_sessions_are_send_sync_and_cheaply_cloneable() {
 }
 
 /// Service sweep responses are bit-identical to direct session calls,
-/// even though the service re-partitions the sweep into executor jobs.
+/// whatever share of the compute permits the service hands the sweep.
 #[test]
 fn service_sweep_is_bit_identical_to_direct_session() {
     for circuit in [
@@ -64,7 +64,6 @@ fn service_sweep_is_bit_identical_to_direct_session() {
         let service = SerService::new(SerServiceConfig {
             max_sessions: 4,
             threads: 4,
-            sweep_batch_sites: 10, // force many parts per sweep
             max_sweep_responses: 32,
             plan_cache_dir: None,
             plan_cache_max_bytes: None,
@@ -137,7 +136,6 @@ fn lru_reuses_and_evicts_sessions() {
     let service = SerService::new(SerServiceConfig {
         max_sessions: 2,
         threads: 2,
-        sweep_batch_sites: 64,
         max_sweep_responses: 32,
         plan_cache_dir: None,
         plan_cache_max_bytes: None,
@@ -180,7 +178,6 @@ fn serves_two_circuits_concurrently_from_warm_cache() {
     let service = Arc::new(SerService::new(SerServiceConfig {
         max_sessions: 4,
         threads: 4,
-        sweep_batch_sites: 16,
         max_sweep_responses: 32,
         plan_cache_dir: None,
         plan_cache_max_bytes: None,
@@ -483,7 +480,6 @@ fn set_inputs_survives_session_eviction() {
     let service = SerService::new(SerServiceConfig {
         max_sessions: 1, // any second circuit evicts the first
         threads: 2,
-        sweep_batch_sites: 64,
         max_sweep_responses: 8,
         plan_cache_dir: None,
         plan_cache_max_bytes: None,
@@ -511,7 +507,7 @@ fn set_inputs_survives_session_eviction() {
 }
 
 /// A job's progress sink reports without perturbing results:
-/// sweep part completions arrive monotonically, sequential Monte-Carlo
+/// sweep batch completions arrive monotonically, sequential Monte-Carlo
 /// counters stream from the worker, and the responses are identical to
 /// plain `submit`.
 fn submit_with_progress(
@@ -536,15 +532,14 @@ fn streaming_progress_observes_without_perturbing() {
     let service = SerService::new(SerServiceConfig {
         max_sessions: 2,
         threads: 2,
-        sweep_batch_sites: 16,  // force several parts
         max_sweep_responses: 0, // keep the cache out of the comparison
         plan_cache_dir: None,
         plan_cache_max_bytes: None,
         ..SerServiceConfig::default()
     });
 
-    // Sweep: one Progress::Sweep event per part, cumulative, ending at
-    // the full site count.
+    // Sweep: Progress::Sweep events as batches complete, cumulative,
+    // ending at the full site count.
     let events: Arc<Mutex<Vec<Progress>>> = Arc::default();
     let sink = {
         let events = Arc::clone(&events);
@@ -561,8 +556,7 @@ fn streaming_progress_observes_without_perturbing() {
         .unwrap();
     assert_eq!(streamed.as_sweep().unwrap(), direct.as_sweep().unwrap());
     let events = std::mem::take(&mut *events.lock().unwrap());
-    let expected_parts = circuit.len().div_ceil(16);
-    assert_eq!(events.len(), expected_parts, "one event per part");
+    assert!(events.len() >= 2, "a sweep streams batches: {events:?}");
     let mut last = 0;
     for event in &events {
         let Progress::Sweep {
@@ -610,6 +604,133 @@ fn streaming_progress_observes_without_perturbing() {
         last = *vectors;
     }
     assert!(last <= streamed.as_monte_carlo().unwrap().vectors);
+}
+
+/// A panicking progress sink fails its own job with `Internal`; the
+/// healthy job next to it in the batch answers exactly as a solo run
+/// does, and the service keeps serving. Covers the sweep (whose sink
+/// runs on the sweep's workers) and the sequential Monte-Carlo leg.
+#[test]
+fn panicking_progress_sink_fails_only_its_own_job() {
+    let circuit = arc(iscas89_like("s298").unwrap());
+    let neighbour = arc(ripple_carry_adder(8));
+    let service = SerService::new(SerServiceConfig {
+        threads: 2,
+        ..SerServiceConfig::default()
+    });
+    let panicking: ProgressFn = Arc::new(|_| panic!("progress sink blew up"));
+    let sequential_mc = Request::MonteCarlo(MonteCarloRequest {
+        site: circuit.find("G0").unwrap(),
+        vectors: 1 << 16,
+        target_error: Some(0.05),
+        seed: 13,
+    });
+    for request in [Request::Sweep(SweepRequest::default()), sequential_mc] {
+        let healthy = Request::Sweep(SweepRequest {
+            polarity: PolarityMode::Merged,
+            ..SweepRequest::default()
+        });
+        let mut responses = service.submit_batch(vec![
+            Job {
+                progress: Some(Arc::clone(&panicking)),
+                ..Job::new(Arc::clone(&circuit), request.clone())
+            },
+            Job::new(Arc::clone(&neighbour), healthy.clone()),
+        ]);
+        let neighbour_response = responses.pop().unwrap().unwrap();
+        let failed = responses.pop().unwrap();
+        assert!(
+            matches!(failed, Err(ServiceError::Internal(_))),
+            "{request:?}: {failed:?}"
+        );
+        let solo = SerService::with_defaults()
+            .submit(&neighbour, healthy)
+            .unwrap();
+        assert_eq!(
+            neighbour_response.as_sweep().unwrap(),
+            solo.as_sweep().unwrap(),
+            "{request:?}"
+        );
+
+        // The daemon survived: the same request, without the sink,
+        // is answered.
+        assert!(service.submit(&circuit, request).is_ok());
+    }
+}
+
+/// A one-thread service still cuts a sweep into batches: it streams
+/// progress mid-sweep, and a token tripped at the first batch stops the
+/// sweep there and caches nothing.
+#[test]
+fn one_thread_sweep_streams_progress_and_honours_cancel() {
+    use ser_suite::netlist::{CancelCause, CancelToken};
+    use ser_suite::service::Progress;
+    use std::sync::Mutex;
+
+    let circuit = arc(synthesize(&profile("s953").unwrap(), 3));
+    let service = SerService::new(SerServiceConfig {
+        threads: 1,
+        ..SerServiceConfig::default()
+    });
+
+    // Cancelled inside the first progress event: the sweep stops at
+    // its next batch boundary.
+    let token = CancelToken::new();
+    let trip: ProgressFn = {
+        let token = token.clone();
+        Arc::new(move |_| token.cancel())
+    };
+    let job = Job {
+        progress: Some(trip),
+        cancel: Some(token),
+        ..Job::new(
+            Arc::clone(&circuit),
+            Request::Sweep(SweepRequest::default()),
+        )
+    };
+    let cancelled = service.submit_batch(vec![job]).pop().unwrap();
+    assert!(
+        matches!(
+            cancelled,
+            Err(ServiceError::Cancelled(CancelCause::Cancelled))
+        ),
+        "{cancelled:?}"
+    );
+    assert_eq!(service.stats().requests_cancelled, 1);
+
+    // Nothing was cached: the next sweep is a miss, and it streams.
+    let events: Arc<Mutex<Vec<Progress>>> = Arc::default();
+    let sink = {
+        let events = Arc::clone(&events);
+        Arc::new(move |p: Progress| events.lock().unwrap().push(p))
+    };
+    let streamed = submit_with_progress(
+        &service,
+        &circuit,
+        Request::Sweep(SweepRequest::default()),
+        sink,
+    );
+    let stats = service.stats();
+    assert_eq!((stats.sweep_cache_hits, stats.sweep_cache_misses), (0, 2));
+    let direct = AnalysisSession::new(Arc::clone(&circuit)).unwrap();
+    assert_eq!(streamed.as_sweep().unwrap(), &direct.sweep(1));
+
+    let events = std::mem::take(&mut *events.lock().unwrap());
+    assert!(events.len() >= 2, "one thread still streams: {events:?}");
+    let mut last = 0;
+    for event in &events {
+        let Progress::Sweep {
+            sites_done,
+            sites_total,
+        } = *event
+        else {
+            panic!("sweep events only: {event:?}");
+        };
+        assert!(sites_done > last, "cumulative and monotonic");
+        last = sites_done;
+        assert_eq!(sites_total, circuit.len());
+    }
+    assert_eq!(last, circuit.len(), "final event covers every site");
 }
 
 /// Malformed requests come back as typed errors, not worker panics.
@@ -668,7 +789,6 @@ fn plan_cache_survives_service_restart() {
     let config = SerServiceConfig {
         max_sessions: 2,
         threads: 2,
-        sweep_batch_sites: 64,
         max_sweep_responses: 0,
         plan_cache_dir: Some(dir.clone()),
         plan_cache_max_bytes: None,
@@ -747,7 +867,6 @@ fn plan_cache_byte_cap_evicts_lru_and_counts() {
     let unbounded = SerServiceConfig {
         max_sessions: 4,
         threads: 2,
-        sweep_batch_sites: 64,
         max_sweep_responses: 0,
         plan_cache_dir: Some(dir.clone()),
         plan_cache_max_bytes: None,
